@@ -24,12 +24,13 @@ from .isometry import AfElement, AffH, AffT, bs_word
 from .padic import PadicRational
 from .pathsim import (
     SimConfig,
+    distance_to_origin,
     final_tree_points,
     first_exit_batch,
     run_batch,
 )
 from .skeleton import RngStream, sample_tau_batch
-from .space import DELTA, HTParams, HTPoint, ht_distance, origin, sandwich
+from .space import DELTA, HTParams, HTPoint, ht_distance, sandwich
 from .tree import TreePoint, TreeVertex, tree_distance
 
 MASTER_SEED = 20260810
@@ -113,10 +114,7 @@ class AcceptanceSuite:
             )
             points = final_tree_points(run)
             dists = np.array(
-                [
-                    ht_distance(HTParams(2.0, 2), HTPoint(x, w), _ORIGIN)
-                    for x, w in zip(run.x, points)
-                ]
+                [distance_to_origin(DRIFTED, x, w) for x, w in zip(run.x, points)]
             )
             return run, points, dists
 
@@ -135,10 +133,7 @@ class AcceptanceSuite:
             )
             points = final_tree_points(run)
             dists = np.array(
-                [
-                    ht_distance(HTParams(2.0, 2), HTPoint(x, w), _ORIGIN)
-                    for x, w in zip(run.x, points)
-                ]
+                [distance_to_origin(DRIFT_FREE, x, w) for x, w in zip(run.x, points)]
             )
             return run, points, dists
 
@@ -164,10 +159,7 @@ class AcceptanceSuite:
             )
             points = final_tree_points(run)
             dists = np.array(
-                [
-                    ht_distance(HTParams(2.0, 2), HTPoint(x, w), _ORIGIN)
-                    for x, w in zip(run.x, points)
-                ]
+                [distance_to_origin(DRIFT_FREE, x, w) for x, w in zip(run.x, points)]
             )
             return run, dists
 
@@ -326,10 +318,7 @@ class AcceptanceSuite:
             DRIFTED, SimConfig(dt=1e-3, horizon=t4), self._n(1000), self._rng(17)
         )
         pts4 = final_tree_points(run4)
-        d4 = [
-            ht_distance(HTParams(2.0, 2), HTPoint(x, w), _ORIGIN)
-            for x, w in zip(run4.x, pts4)
-        ]
+        d4 = [distance_to_origin(DRIFTED, x, w) for x, w in zip(run4.x, pts4)]
         ks4 = analysis.distance_clt(DRIFTED, d4, t4).statistic
         c.note(f"same statistic at t = {t4:.0f} (4x horizon): KS = {ks4:.4f}")
         return c.result(6, "distance central limit theorem with drift")
@@ -562,9 +551,6 @@ class AcceptanceSuite:
 
     def run_all(self) -> list[CriterionResult]:
         return [getattr(self, f"criterion_{i}")() for i in range(1, 12)]
-
-
-_ORIGIN = origin(HTParams(2.0, 2))
 
 
 # -- random generators for the exact-geometry checks --------------------------

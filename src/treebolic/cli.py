@@ -23,14 +23,15 @@ from .acceptance import AcceptanceSuite
 from .closed_forms import ClosedForms, ModelParams
 from .isometry import bs_word, modular
 from .pathsim import (
+    MAX_DT,
     NumericalError,
     SimConfig,
+    distance_to_origin,
     final_tree_points,
     run_batch,
     simulate_path,
 )
 from .skeleton import RngStream, run_skeleton
-from .space import HTParams, HTPoint, ht_distance, origin
 from .tree import TreeVertex, tree_distance
 
 
@@ -57,6 +58,21 @@ def _add_run_flags(p: argparse.ArgumentParser, paths_default: int) -> None:
     p.add_argument("--horizon", type=float, default=None, help="default: 200 mean sojourns")
     p.add_argument("--paths", type=int, default=paths_default)
     p.add_argument("--seed", type=int, default=0)
+
+
+#: Count flags that must be >= 1, where a subcommand has them.
+_COUNT_FLAGS = ("paths", "record_stride", "steps", "samples", "limit_samples")
+
+
+def _check_flags(args) -> None:
+    """Range checks on the parsed flags; a violation is a usage error."""
+    dt = getattr(args, "dt", None)
+    if dt is not None and not 0.0 < dt <= MAX_DT:
+        raise _UsageError(f"--dt must lie in (0, {MAX_DT:g}], got {dt:g}")
+    for name in _COUNT_FLAGS:
+        value = getattr(args, name, None)
+        if value is not None and value < 1:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _model(args) -> ModelParams:
@@ -159,14 +175,6 @@ def _cmd_skeleton(args) -> int:
     return 0
 
 
-def _final_distances(params, run, points):
-    geo = HTParams(params.q, params.p)
-    base = origin(geo)
-    return np.array(
-        [ht_distance(geo, HTPoint(x, w), base) for x, w in zip(run.x, points)]
-    )
-
-
 def _cmd_escape(args) -> int:
     params = _model(args)
     horizon = _horizon(args, params)
@@ -177,7 +185,7 @@ def _cmd_escape(args) -> int:
         RngStream(args.seed, 0).generator(),
     )
     points = final_tree_points(run)
-    dists = _final_distances(params, run, points)
+    dists = np.array([distance_to_origin(params, x, w) for x, w in zip(run.x, points)])
     rate = analysis.estimate_escape_rate(dists, horizon)
     root = TreeVertex.root(params.p)
     tree_rate = analysis.SampleSummary.from_samples(
@@ -219,7 +227,7 @@ def _cmd_clt(args) -> int:
         report["ks"] = ks.statistic
     else:
         points = final_tree_points(run)
-        dists = _final_distances(params, run, points)
+        dists = np.array([distance_to_origin(params, x, w) for x, w in zip(run.x, points)])
         if args.kind == "distance":
             if cf.escape_rate(params) == 0.0:
                 print("distance CLT needs nonzero drift; use --kind driftfree", file=sys.stderr)
@@ -428,6 +436,7 @@ def main(argv=None) -> int:
         resolved = {k: v for k, v in vars(args).items() if k not in ("func", "emit_config")}
         print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
     try:
+        _check_flags(args)
         return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)

@@ -24,26 +24,37 @@ exit-time overshoot of the plain endpoint rule.  Departures from a line draw
 the side with up-probability gamma = beta p/(beta p + 1) and restart at
 |N(0, 2 dt / log^2 q)| from the line.
 
-Tree vertices never enter the hot loop: they are rebuilt from the recorded
-event stream, which keeps the stepping fully vectorized across paths.
+One kernel, `_advance`, takes every Euler step of the package, and one
+batch loop, `_drive`, runs it until each path of a batch finishes: at a fixed
+horizon (`run_batch`, `simulate_path`) or at its first skeleton event
+(`first_exit_batch`, and `skeleton.sample_tau_batch`, which runs the kernel
+in height-only mode, without the abscissa and the branches).  Tree vertices
+never enter the hot loop: they are rebuilt from the recorded event stream,
+which keeps the stepping fully vectorized across paths.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .closed_forms import ModelParams
+from .padic import PadicRational
 from .space import HTParams, HTPoint, ht_distance, origin
 from .tree import TreePoint, TreeVertex
+
+#: Largest step size the kernel is run at.
+MAX_DT = 1e-2
 
 _SNAP = 1e-12
 _HARD_ITER_CAP = 1_000_000_000
 _BLOCK = 256
 _COMPACT_EVERY = 64
 _SQRT2 = math.sqrt(2.0)
+_SQRT_HALF = math.sqrt(0.5)
 
 
 class NumericalError(RuntimeError):
@@ -57,10 +68,9 @@ class SimConfig:
     dt: float = 1e-4
     horizon: float = 1.0
     record_stride: int = 1
-    seed: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= 1e-2:
+        if not 0.0 < self.dt <= MAX_DT:
             raise ValueError("dt must lie in (0, 1e-2]")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
@@ -71,7 +81,6 @@ class SimConfig:
 @dataclass
 class _Coeffs:
     dt: float
-    sdt: float
     mu_dt: float
     vol_sdt: float
     vol2_dt: float
@@ -86,7 +95,6 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
     vol_sdt = math.sqrt(2.0) / log_q * math.sqrt(dt)
     return _Coeffs(
         dt=dt,
-        sdt=math.sqrt(dt),
         mu_dt=(1.0 - params.alpha) / log_q * dt,
         vol_sdt=vol_sdt,
         vol2_dt=vol_sdt * vol_sdt,
@@ -98,20 +106,22 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
 
 
 class _Arrays:
-    """Mutable per-path state: anchor level, offset, abscissa, clock,
-    on-line flag, excursion side and branch (plus an optional running
-    maximum of the sideways displacement)."""
+    """Mutable per-path state: anchor level, offset, clock, on-line flag,
+    excursion side and branch, and events so far.  Planar state also carries
+    the abscissa (plus an optional running maximum of the sideways
+    displacement); height-only state has x = None."""
 
-    __slots__ = ("level", "rel", "x", "t", "on_line", "side", "child", "xmax", "x0")
+    __slots__ = ("level", "rel", "t", "on_line", "side", "child", "n_events", "x", "xmax", "x0")
 
-    def __init__(self, n: int, level: int, x: float, rel: float, track_max=False):
+    def __init__(self, n: int, level: int, rel: float, x: float | None = None, track_max=False):
         self.level = np.full(n, level, dtype=np.int64)
         self.rel = np.full(n, float(rel))
-        self.x = np.full(n, float(x))
         self.t = np.zeros(n)
         self.on_line = np.full(n, rel == 0.0)
-        self.side = np.full(n, 0 if rel == 0.0 else -1, dtype=np.int8)
+        self.side = np.full(n, np.sign(rel), dtype=np.int8)
         self.child = np.zeros(n, dtype=np.int16)
+        self.n_events = np.zeros(n, dtype=np.int64)
+        self.x = None if x is None else np.full(n, float(x))
         self.xmax = np.zeros(n) if track_max else None
         self.x0 = np.full(n, float(x)) if track_max else None
 
@@ -124,36 +134,46 @@ class _Arrays:
 
 class _DrawBlock:
     """Pre-drawn blocks of step noise to amortize generator call overhead.
+    Planar runs draw the x-noise, the height noise, the side and bridge
+    uniforms and the branches; height-only runs draw the middle three.
     Block depth shrinks for wide path batches to bound the memory held in
     raw draws.  On compaction the surviving columns are kept, so removing
     paths does not disturb the others' draws."""
 
-    def __init__(self, rng: np.random.Generator, p: int):
+    def __init__(self, rng: np.random.Generator, p: int, planar: bool):
         self.rng = rng
         self.p = p
+        self.planar = planar
         self.rows = 0
         self.i = 0
         self.n = -1
+        self.z1 = self.uc = None
 
     def next(self, n: int):
         if self.i >= self.rows or n != self.n:
             self.rows = max(8, min(_BLOCK, 2_000_000 // max(n, 1)))
             shape = (self.rows, n)
-            self.z1 = self.rng.standard_normal(shape)
+            if self.planar:
+                self.z1 = self.rng.standard_normal(shape)
             self.z2 = self.rng.standard_normal(shape)
             self.us = self.rng.random(shape)
             self.ub = self.rng.random(shape)
-            self.uc = self.rng.integers(0, self.p, size=shape, dtype=np.int16)
+            if self.planar:
+                self.uc = self.rng.integers(0, self.p, size=shape, dtype=np.int16)
             self.i = 0
             self.n = n
         i = self.i
         self.i += 1
-        return self.z1[i], self.z2[i], self.us[i], self.ub[i], self.uc[i]
+        if self.planar:
+            return self.z1[i], self.z2[i], self.us[i], self.ub[i], self.uc[i]
+        return None, self.z2[i], self.us[i], self.ub[i], None
 
     def compress(self, keep: np.ndarray) -> None:
         if self.n != -1 and self.i < self.rows:
             for name in ("z1", "z2", "us", "ub", "uc"):
-                setattr(self, name, getattr(self, name)[:, keep])
+                block = getattr(self, name)
+                if block is not None:
+                    setattr(self, name, block[:, keep])
             self.n = int(keep.sum()) if keep.dtype == bool else keep.size
         else:
             self.n = -1
@@ -180,9 +200,11 @@ class _Buf:
 def _advance(st: _Arrays, co: _Coeffs, z1, z2, u_side, u_bridge, u_child):
     """One synchronized Euler step over all paths.
 
-    Returns (event_ids, event_dirs): the paths that committed to a new line
-    this step and the direction they moved.  The anchor level, offsets,
-    abscissae, clocks and excursion bookkeeping are updated in place.
+    In height-only mode (st.x is None) z1 and u_child are None and the
+    abscissa and branches are left alone.  Returns (event_ids, event_dirs):
+    the paths that committed to a new line this step and the direction they
+    moved.  The anchor level, offsets, clocks, event counts, abscissae and
+    excursion bookkeeping are updated in place.
     """
     rel0 = st.rel
     new_rel = rel0 + (co.vol_sdt * z2 + co.mu_dt)
@@ -193,10 +215,11 @@ def _advance(st: _Arrays, co: _Coeffs, z1, z2, u_side, u_bridge, u_child):
         up = u_side[lin] < co.gamma
         new_rel[lin] = np.where(up, mags, -mags)
         st.side[lin] = np.where(up, 1, -1)
-        st.child[lin] = np.where(up, u_child[lin], st.child[lin])
+        if u_child is not None:
+            st.child[lin] = np.where(up, u_child[lin], st.child[lin])
 
     absn = np.abs(new_rel)
-    if bool((absn >= 2.0).any()):
+    if absn.max() >= 2.0:
         raise NumericalError("height moved more than one level in one step")
 
     crossed = (rel0 > 0.0) != (new_rel > 0.0)
@@ -216,48 +239,120 @@ def _advance(st: _Arrays, co: _Coeffs, z1, z2, u_side, u_bridge, u_child):
     else:
         bridge_ids = nid
 
+    # clock and abscissa; split steps end at their fraction of the step and
+    # get the sqrt-scaled share of the x-noise
+    planar = st.x is not None
+    if planar:
+        dx = np.exp(co.log_q * (st.level + rel0))
+        dx *= co.x_scale
+        dx *= z1
+    st.t += co.dt
     cid = np.nonzero(crossed)[0]
-    hid = np.nonzero(hit)[0]
-    frac = np.ones_like(rel0)
     if cid.size:
-        frac[cid] = np.clip(rel0[cid] / (rel0[cid] - new_rel[cid]), 0.0, 1.0)
+        frac = np.clip(rel0[cid] / (rel0[cid] - new_rel[cid]), 0.0, 1.0)
+        st.t[cid] -= co.dt * (1.0 - frac)
+        if planar:
+            dx[cid] *= np.sqrt(frac)
+    hid = np.nonzero(hit)[0]
     if hid.size:
         tgt = np.sign(new_rel[hid])
-        frac[hid] = np.clip((tgt - rel0[hid]) / (new_rel[hid] - rel0[hid]), 0.0, 1.0)
+        frac = np.clip((tgt - rel0[hid]) / (new_rel[hid] - rel0[hid]), 0.0, 1.0)
+        st.t[hid] -= co.dt * (1.0 - frac)
+        if planar:
+            dx[hid] *= np.sqrt(frac)
     if bridge_ids.size:
-        frac[bridge_ids] = 0.5
-
-    # abscissa and clock; split steps get the sqrt-scaled noise share
-    dx = np.exp(co.log_q * (st.level + rel0))
-    dx *= co.x_scale
-    dx *= z1
-    part = np.concatenate([cid, hid, bridge_ids])
-    if part.size:
-        dx[part] *= np.sqrt(frac[part])
-    st.x += dx
-    if st.xmax is not None:
-        np.maximum(st.xmax, np.abs(st.x - st.x0), out=st.xmax)
-    st.t += co.dt
-    if part.size:
-        st.t[part] -= co.dt * (1.0 - frac[part])
-
-    event_ids = np.concatenate([hid, bridge_ids])
-    if event_ids.size > 1:
-        event_ids = np.sort(event_ids)
-    dirs = np.where(new_rel[event_ids] > 0, 1, -1).astype(np.int64)
+        st.t[bridge_ids] -= 0.5 * co.dt
+        if planar:
+            dx[bridge_ids] *= _SQRT_HALF
+    if planar:
+        st.x += dx
+        if st.xmax is not None:
+            np.maximum(st.xmax, np.abs(st.x - st.x0), out=st.xmax)
 
     st.rel = new_rel
+    st.on_line = crossed
     if cid.size:
-        st.rel[cid] = 0.0
+        new_rel[cid] = 0.0
         st.side[cid] = 0
-    if event_ids.size:
-        st.rel[event_ids] = 0.0
-        st.side[event_ids] = 0
-        st.level[event_ids] += dirs
-    st.on_line.fill(False)
-    st.on_line[cid] = True
-    st.on_line[event_ids] = True
+    if bridge_ids.size:
+        event_ids = np.sort(np.concatenate([hid, bridge_ids])) if hid.size else bridge_ids
+    else:
+        event_ids = hid
+    if not event_ids.size:
+        return event_ids, event_ids  # both empty
+    dirs = np.where(new_rel[event_ids] > 0, 1, -1)
+    new_rel[event_ids] = 0.0
+    crossed[event_ids] = True
+    st.side[event_ids] = 0
+    st.level[event_ids] += dirs
+    st.n_events[event_ids] += 1
     return event_ids, dirs
+
+
+def _drive(
+    st: _Arrays,
+    draws: _DrawBlock,
+    co: _Coeffs,
+    *,
+    max_iter: int,
+    on_finish,
+    horizon: float | None = None,
+    on_events=None,
+    on_checkpoints=None,
+    record_stride: int = 0,
+    on_record=None,
+) -> None:
+    """Step every path of st with the kernel until it finishes.
+
+    With a horizon a path finishes at its first state with clock >= horizon;
+    without one, at its first skeleton event.  Hooks see the global path ids
+    g and the paths' current slots loc in st:
+
+    * on_finish(g, loc, dirs), once per path (dirs is None at a horizon);
+    * on_events(g, loc, dirs), horizon runs only, for the events of
+      unfinished paths;
+    * on_checkpoints(idx, live), horizon runs only, every iteration before
+      paths finish;
+    * on_record(g, loc) for the unfinished paths every record_stride
+      iterations.
+
+    Finished paths keep stepping until the next compaction, unseen by hooks.
+    """
+    idx = np.arange(st.t.size)
+    recorded = np.zeros(idx.size, dtype=bool)  # over current (compacted) slots
+    iters = 0
+    while idx.size:
+        iters += 1
+        if iters > max_iter:
+            raise RuntimeError("path run exceeded its iteration budget")
+        eids, dirs = _advance(st, co, *draws.next(idx.size))
+        if eids.size:
+            live = ~recorded[eids]
+            eids, dirs = eids[live], dirs[live]
+            if eids.size:
+                if horizon is None:
+                    on_finish(idx[eids], eids, dirs)
+                    recorded[eids] = True
+                elif on_events is not None:
+                    on_events(idx[eids], eids, dirs)
+        if horizon is not None:
+            if on_checkpoints is not None:
+                on_checkpoints(idx, ~recorded)
+            done = ~recorded & (st.t >= horizon)
+            if done.any():
+                d = np.nonzero(done)[0]
+                on_finish(idx[d], d, None)
+                recorded[d] = True
+        if record_stride and iters % record_stride == 0:
+            loc = np.nonzero(~recorded)[0]
+            if loc.size:
+                on_record(idx[loc], loc)
+        if iters % _COMPACT_EVERY == 0 and recorded.any():
+            keep = ~recorded
+            st.compress(keep)
+            draws.compress(keep)
+            idx = idx[keep]
+            recorded = np.zeros(idx.size, dtype=bool)
 
 
 @dataclass
@@ -293,6 +388,9 @@ class BatchRun:
         return self.t.size
 
 
+_FINAL = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events")
+
+
 def run_batch(
     params: ModelParams,
     config: SimConfig,
@@ -308,88 +406,85 @@ def run_batch(
     overshoot is below one step).  Skeleton events are returned as a flat
     stream (path id, direction, branch, clock), in per-path time order.
     """
-    co = _coeffs(params, config.dt)
-    st = _Arrays(n_paths, start_level, start_x, 0.0)
-    idx = np.arange(n_paths)
+    st = _Arrays(n_paths, start_level, 0.0, start_x)
+    return _run_to_horizon(params, config, rng, st, start_level, checkpoints)
 
-    out = _Arrays(n_paths, start_level, start_x, 0.0)
-    out_t = out.t
-    n_events = np.zeros(n_paths, dtype=np.int64)
-    zero_visits = np.zeros(n_paths, dtype=np.int64)
+
+def _run_to_horizon(
+    params: ModelParams,
+    config: SimConfig,
+    rng: np.random.Generator,
+    st: _Arrays,
+    start_level: int,
+    checkpoints=None,
+    on_record=None,
+) -> BatchRun:
+    """Drive the planar paths of st to the horizon, keeping the event stream,
+    the abscissae at the checkpoints and, through on_record, the states every
+    record_stride steps."""
+    n = st.t.size
+    out = _Arrays(n, start_level, 0.0, 0.0)
+    zero_visits = np.zeros(n, dtype=np.int64)
     ev_path, ev_dir = _Buf(np.int64), _Buf(np.int64)
     ev_child, ev_time = _Buf(np.int16), _Buf(float)
 
+    def on_events(g, loc, dirs):
+        ev_path.extend(g)
+        ev_dir.extend(dirs)
+        ev_child.extend(st.child[loc])
+        ev_time.extend(st.t[loc])
+        zero_visits[g] += st.level[loc] == 0
+
+    def on_finish(g, loc, _dirs):
+        for name in _FINAL:
+            getattr(out, name)[g] = getattr(st, name)[loc]
+
     cps = None if checkpoints is None else np.asarray(checkpoints, dtype=float)
+    on_checkpoints = None
     if cps is not None:
         if cps.size and (np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon):
             raise ValueError("checkpoints must be increasing and within the horizon")
-        cp_x = np.zeros((n_paths, cps.size))
-        cp_ptr = np.zeros(n_paths, dtype=np.int64)
+        cp_x = np.zeros((n, cps.size))
+    if cps is not None and cps.size:
+        cp_ptr = np.zeros(n, dtype=np.int64)
         cps_ext = np.append(cps, np.inf)
 
-    draws = _DrawBlock(rng, params.p)
-    recorded = np.zeros(n_paths, dtype=bool)  # over current (compacted) slots
-    max_iter = min(_HARD_ITER_CAP, int(2 * config.horizon / config.dt) + 100_000)
-    iters = 0
-    while idx.size:
-        iters += 1
-        if iters > max_iter:
-            raise RuntimeError("horizon run exceeded its iteration budget")
-        z1, z2, us, ub, uc = draws.next(idx.size)
-        eids, dirs = _advance(st, co, z1, z2, us, ub, uc)
-        if eids.size:
-            live = ~recorded[eids]
-            eids, dirs = eids[live], dirs[live]
-        if eids.size:
-            g = idx[eids]
-            ev_path.extend(g)
-            ev_dir.extend(dirs)
-            ev_child.extend(st.child[eids])
-            ev_time.extend(st.t[eids])
-            n_events[g] += 1
-            zero_visits[g] += st.level[eids] == 0
-        if cps is not None and cps.size:
+        def on_checkpoints(idx, live):
             while True:
                 due = np.take(cps_ext, np.minimum(cp_ptr[idx], cps.size))
-                hit = ~recorded & (st.t >= due)
+                hit = live & (st.t >= due)
                 if not hit.any():
-                    break
+                    return
                 h = np.nonzero(hit)[0]
                 g = idx[h]
                 cp_x[g, cp_ptr[g]] = st.x[h]
                 cp_ptr[g] += 1
-        done = ~recorded & (st.t >= config.horizon)
-        if done.any():
-            d = np.nonzero(done)[0]
-            g = idx[d]
-            out_t[g] = st.t[d]
-            out.x[g] = st.x[d]
-            out.level[g] = st.level[d]
-            out.rel[g] = st.rel[d]
-            out.on_line[g] = st.on_line[d]
-            out.side[g] = st.side[d]
-            out.child[g] = st.child[d]
-            recorded[d] = True
-        if iters % _COMPACT_EVERY == 0 and recorded.any():
-            keep = ~recorded
-            st.compress(keep)
-            draws.compress(keep)
-            idx = idx[keep]
-            recorded = np.zeros(idx.size, dtype=bool)
 
+    _drive(
+        st,
+        _DrawBlock(rng, params.p, planar=True),
+        _coeffs(params, config.dt),
+        max_iter=min(_HARD_ITER_CAP, int(2 * config.horizon / config.dt) + 100_000),
+        on_finish=on_finish,
+        horizon=config.horizon,
+        on_events=on_events,
+        on_checkpoints=on_checkpoints,
+        record_stride=config.record_stride if on_record is not None else 0,
+        on_record=on_record,
+    )
     return BatchRun(
         params=params,
         dt=config.dt,
         horizon=config.horizon,
         start_level=start_level,
-        t=out_t,
+        t=out.t,
         x=out.x,
         level=out.level,
         rel=out.rel,
         on_line=out.on_line,
         side=out.side,
         child=out.child,
-        n_events=n_events,
+        n_events=out.n_events,
         zero_visits=zero_visits,
         ev_path=ev_path.data(),
         ev_dir=ev_dir.data(),
@@ -431,47 +526,38 @@ def first_exit_batch(
     """
     if not -1.0 < start_rel <= 0.0:
         raise ValueError("start_rel must lie in (-1, 0]")
-    co = _coeffs(params, dt)
-    st = _Arrays(n, start_level, start_x, start_rel, track_max=track_max)
-    out_t = np.empty(n)
-    out_side = np.empty(n, dtype=np.int8)
-    out_child = np.empty(n, dtype=np.int16)
-    out_x = np.empty(n)
-    out_max = np.empty(n) if track_max else None
-    idx = np.arange(n)
-    recorded = np.zeros(n, dtype=bool)
+    st = _Arrays(n, start_level, start_rel, start_x, track_max=track_max)
+    return FirstExit(*_first_events(params, dt, rng, st))
 
-    draws = _DrawBlock(rng, params.p)
-    iters = 0
-    while idx.size:
-        iters += 1
-        if iters > _HARD_ITER_CAP:
-            raise RuntimeError("first-exit sampler did not terminate")
-        z1, z2, us, ub, uc = draws.next(idx.size)
-        eids, dirs = _advance(st, co, z1, z2, us, ub, uc)
-        if eids.size:
-            live = ~recorded[eids]
-            eids, dirs = eids[live], dirs[live]
-        if eids.size:
-            g = idx[eids]
-            out_t[g] = st.t[eids]
-            out_side[g] = dirs
-            out_child[g] = st.child[eids]
-            out_x[g] = st.x[eids]
-            if track_max:
-                out_max[g] = st.xmax[eids]
-            recorded[eids] = True
-            # keep finished paths harmlessly jiggling near the line until the
-            # next compaction; their later events are filtered out above
-            st.rel[eids] = 0.0
-            st.on_line[eids] = True
-        if iters % _COMPACT_EVERY == 0 and recorded.any():
-            keep = ~recorded
-            st.compress(keep)
-            draws.compress(keep)
-            idx = idx[keep]
-            recorded = np.zeros(idx.size, dtype=bool)
-    return FirstExit(tau=out_t, side=out_side, child=out_child, x=out_x, max_abs_dx=out_max)
+
+def _first_events(params: ModelParams, dt: float, rng: np.random.Generator, st: _Arrays):
+    """Drive the paths of st to their first skeleton event.
+
+    Returns per path the event's clock and direction, then the branch, the
+    abscissa and the running maximum of |x - x0| at the event; the last
+    three are None where st does not carry them (height-only state, or no
+    tracked maximum).
+    """
+    n = st.t.size
+    planar = st.x is not None
+    tau = np.empty(n)
+    side = np.empty(n, dtype=np.int8)
+    child = np.empty(n, dtype=np.int16) if planar else None
+    x = np.empty(n) if planar else None
+    xmax = np.empty(n) if st.xmax is not None else None
+
+    def on_finish(g, loc, dirs):
+        tau[g] = st.t[loc]
+        side[g] = dirs
+        if planar:
+            child[g] = st.child[loc]
+            x[g] = st.x[loc]
+            if xmax is not None:
+                xmax[g] = st.xmax[loc]
+
+    draws = _DrawBlock(rng, params.p, planar)
+    _drive(st, draws, _coeffs(params, dt), max_iter=_HARD_ITER_CAP, on_finish=on_finish)
+    return tau, side, child, x, xmax
 
 
 def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> list[TreeVertex]:
@@ -487,8 +573,36 @@ def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> l
 
 def _events_by_path(run: BatchRun):
     order = np.argsort(run.ev_path, kind="stable")
-    starts = np.searchsorted(run.ev_path[order], np.arange(run.n_paths + 1))
-    return order, starts
+    path = run.ev_path[order]
+    t = run.ev_time[order]
+    back = t[1:] < t[:-1]
+    back &= path[1:] == path[:-1]
+    if back.any():
+        raise ValueError("event stream is not in time order within each path")
+    starts = np.searchsorted(path, np.arange(run.n_paths + 1))
+    return order, starts.tolist()
+
+
+def _final_vertex(start: TreeVertex, dirs: list[int], childs: list[int]) -> TreeVertex:
+    """The last vertex of rebuild_vertices, by integer arithmetic on the ball
+    centers.  Scaled by p**shift, with shift large enough to clear the
+    denominators at every level the path visits, the center at level m is an
+    integer below p**(m + shift): an up-move into branch c adds
+    c p**(m + shift), and a down-move keeps the residue mod p**(m - 1 + shift)."""
+    if not dirs:
+        return start
+    p, c0 = start.p, start.center
+    shift = max(c0.denom_exp, -(start.level + min(accumulate(dirs, initial=0))))
+    num = c0.num * p ** (shift - c0.denom_exp)
+    k = start.level + shift
+    for d, c in zip(dirs, childs):
+        if d > 0:
+            num += c * p**k
+            k += 1
+        else:
+            k -= 1
+            num %= p**k
+    return TreeVertex(PadicRational(p, num, shift), k - shift)
 
 
 def _tree_point(anchor: TreeVertex, side: int, child: int, rel: float) -> TreePoint:
@@ -507,98 +621,11 @@ def final_tree_points(run: BatchRun, start: TreeVertex | None = None) -> list[Tr
     points = []
     for i in range(run.n_paths):
         sl = order[starts[i] : starts[i + 1]]
-        anchor = rebuild_vertices(p, run.ev_dir[sl], run.ev_child[sl], base)[-1]
+        anchor = _final_vertex(base, run.ev_dir[sl].tolist(), run.ev_child[sl].tolist())
         points.append(
             _tree_point(anchor, int(run.side[i]), int(run.child[i]), float(run.rel[i]))
         )
     return points
-
-
-# -- scalar state and single-step API ---------------------------------------
-
-
-@dataclass(frozen=True)
-class PathState:
-    """Scalar mirror of one simulated path, carrying the actual tree vertex
-    of its anchoring line."""
-
-    line_vertex: TreeVertex
-    x: float
-    rel: float
-    clock: float
-    n_events: int
-    on_line: bool
-    exc_side: int
-    child: int
-
-    @classmethod
-    def at_origin(cls, params: ModelParams) -> "PathState":
-        return cls(TreeVertex.root(params.p), 0.0, 0.0, 0.0, 0, True, 0, 0)
-
-    @classmethod
-    def from_point(cls, zf: HTPoint) -> "PathState":
-        w = zf.w
-        if w.is_vertex:
-            return cls(w.upper, zf.x, 0.0, 0.0, 0, True, 0, 0)
-        return cls(w.upper, zf.x, w.offset - 1.0, 0.0, 0, False, -1, 0)
-
-    @property
-    def y(self) -> float:
-        return self.line_vertex.level + self.rel
-
-    @property
-    def strip_vertex(self) -> TreeVertex:
-        if self.exc_side > 0:
-            return self.line_vertex.successors()[self.child]
-        return self.line_vertex
-
-    @property
-    def tree_point(self) -> TreePoint:
-        return _tree_point(self.line_vertex, self.exc_side, self.child, self.rel)
-
-    @property
-    def point(self) -> HTPoint:
-        return HTPoint(self.x, self.tree_point)
-
-
-def step_euler(
-    state: PathState,
-    params: ModelParams,
-    config: SimConfig,
-    rng: np.random.Generator,
-) -> PathState:
-    """Advance a scalar path state by one Euler step (same transition as the
-    batched kernel, applied to a one-path bundle)."""
-    co = _coeffs(params, config.dt)
-    st = _Arrays(1, state.line_vertex.level, state.x, -0.5)
-    st.rel[0] = state.rel
-    st.t[0] = state.clock
-    st.on_line[0] = state.on_line
-    st.side[0] = state.exc_side
-    st.child[0] = state.child
-    z = rng.standard_normal(2)
-    us, ub = rng.random(2)
-    uc = rng.integers(0, params.p, size=1, dtype=np.int16)
-    eids, dirs = _advance(st, co, z[:1], z[1:], np.array([us]), np.array([ub]), uc)
-
-    vertex = state.line_vertex
-    n_events = state.n_events
-    if eids.size:
-        if dirs[0] > 0:
-            vertex = vertex.successors()[int(st.child[0])]
-        else:
-            vertex = vertex.predecessor()
-        n_events += 1
-    return PathState(
-        line_vertex=vertex,
-        x=float(st.x[0]),
-        rel=float(st.rel[0]),
-        clock=float(st.t[0]),
-        n_events=n_events,
-        on_line=bool(st.on_line[0]),
-        exc_side=int(st.side[0]),
-        child=int(st.child[0]),
-    )
 
 
 @dataclass(frozen=True)
@@ -613,6 +640,18 @@ class TrajectoryRecord:
     dist: float | None = None
 
 
+def _state_row(st, i) -> tuple:
+    return (
+        float(st.t[i]),
+        float(st.x[i]),
+        int(st.level[i]),
+        float(st.rel[i]),
+        int(st.side[i]),
+        int(st.child[i]),
+        int(st.n_events[i]),
+    )
+
+
 def simulate_path(
     params: ModelParams,
     config: SimConfig,
@@ -621,27 +660,27 @@ def simulate_path(
     with_distance: bool = False,
 ) -> list[TrajectoryRecord]:
     """Simulate one path to the horizon, recording every record_stride steps
-    (plus the initial and final states)."""
-    geo = HTParams(params.q, params.p)
-    state = (
-        PathState.at_origin(params) if start is None else PathState.from_point(start)
-    )
+    (plus the initial and final states).  Each record carries the upper
+    vertex of the strip the path is in, replayed from the event stream after
+    the run."""
+    if start is None:
+        anchor, rel = TreeVertex.root(params.p), 0.0
+    else:
+        anchor, rel = start.w.upper, 0.0 if start.w.is_vertex else start.w.offset - 1.0
+    st = _Arrays(1, anchor.level, rel, 0.0 if start is None else start.x)
+    rows = [_state_row(st, 0)]
 
-    def record(s: PathState) -> TrajectoryRecord:
-        d = ht_distance(geo, s.point, origin(geo)) if with_distance else None
-        return TrajectoryRecord(s.clock, s.x, s.y, s.strip_vertex, s.n_events, d)
+    def on_record(_g, loc):
+        rows.append(_state_row(st, loc[0]))
 
-    records = [record(state)]
-    steps = 0
-    budget = min(_HARD_ITER_CAP, int(2 * config.horizon / config.dt) + 100_000)
-    while state.clock < config.horizon:
-        state = step_euler(state, params, config, rng)
-        steps += 1
-        if steps % config.record_stride == 0 and state.clock < config.horizon:
-            records.append(record(state))
-        if steps > budget:
-            raise RuntimeError("path run exceeded its iteration budget")
-    records.append(record(state))
+    run = _run_to_horizon(params, config, rng, st, anchor.level, on_record=on_record)
+    rows.append(_state_row(run, 0))
+    anchors = rebuild_vertices(params.p, run.ev_dir, run.ev_child, anchor)
+    records = []
+    for t, x, level, rel, side, child, k in rows:
+        w = _tree_point(anchors[k], side, child, rel)
+        d = distance_to_origin(params, x, w) if with_distance else None
+        records.append(TrajectoryRecord(t, x, level + rel, w.upper, k, d))
     return records
 
 

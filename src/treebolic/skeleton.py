@@ -3,34 +3,28 @@
 The vertical skeleton is a +-1 walk with up-probability rho/(rho+1); on the
 tree an up-step picks one of the p forward branches uniformly.  Both use the
 closed-form probabilities directly, so the walks carry no discretization
-error.  The sojourn time between distinct lines is sampled pathwise: Euler
-steps of the one-dimensional height diffusion
+error.  The sojourn time between distinct lines is sampled pathwise by the
+Euler kernel of `pathsim` in height-only mode: steps of the one-dimensional
+height diffusion
 
     dY = (1 - alpha)/log q dt + (sqrt 2 / log q) dB
 
 restarted at every interior line visit on a side drawn with up-probability
-gamma = beta p / (beta p + 1), at distance |N(0, 2 dt / log^2 q)| from the
-line, until the height reaches +-1.  Crossing and exit times are linearly
-interpolated inside the step, and steps that end inside the interval are
-checked for an in-between boundary excursion with a Brownian-bridge test.
-The remaining bias is O(sqrt dt); the closed forms are the oracle, never
-the sampler.
+gamma = beta p / (beta p + 1), until the height reaches +-1, with the
+kernel's interpolated crossing and exit times and its Brownian-bridge exit
+test.  The remaining bias is O(sqrt dt); the closed forms are the oracle,
+never the sampler.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .closed_forms import ModelParams, prob_up
+from .pathsim import _Arrays, _first_events
 from .tree import TreeVertex
-
-MAX_KERNEL_ITER = 1_000_000_000
-_BLOCK = 256
-_COMPACT_EVERY = 64
-_SNAP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -74,6 +68,15 @@ def step_vertex(
     raise ValueError("side must be +1 or -1")
 
 
+def _sojourns(params: ModelParams, n: int, rng: np.random.Generator, dt: float, y0: float):
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    if not -1.0 < y0 < 1.0:
+        raise ValueError("start must lie in (-1, 1)")
+    tau, side, *_ = _first_events(params, dt, rng, _Arrays(n, 0, y0))
+    return tau, side
+
+
 def sample_tau_batch(
     params: ModelParams,
     n: int,
@@ -86,110 +89,17 @@ def sample_tau_batch(
 
     A start on the line (y0 = 0) makes the exit time a sojourn-time sample;
     interior starts give the plain first-exit time, which meets the interior
-    line at 0 on the way out.
+    line at 0 on the way out.  Raises pathsim.NumericalError if dt lets a
+    step move the height by two levels.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not -1.0 < y0 < 1.0:
-        raise ValueError("start must lie in (-1, 1)")
-    log_q = params.log_q
-    mu_dt = (1.0 - params.alpha) / log_q * dt
-    gamma = params.beta * params.p / (params.beta * params.p + 1.0)
-    vol_sdt = math.sqrt(2.0) / log_q * math.sqrt(dt)
-    vol2_dt = vol_sdt * vol_sdt
-    near_cut = min(5.0 * vol_sdt, 0.5)
-
-    y = np.full(n, float(y0))
-    t = np.zeros(n)
-    on_line = np.full(n, y0 == 0.0)
-    out_t = np.empty(n)
-    out_s = np.empty(n, dtype=np.int8)
-    idx = np.arange(n)
-    recorded = np.zeros(n, dtype=bool)
-
-    block_i, block_rows, block_n = 0, 0, -1
-    iters = 0
-    while idx.size:
-        iters += 1
-        if iters > MAX_KERNEL_ITER:
-            raise RuntimeError("exit-time sampler did not terminate")
-        if block_i >= block_rows or idx.size != block_n:
-            # block depth shrinks for wide batches to bound draw memory
-            block_rows = max(8, min(_BLOCK, 2_000_000 // max(idx.size, 1)))
-            zs = rng.standard_normal((block_rows, idx.size))
-            us = rng.random((block_rows, idx.size))
-            ub = rng.random((block_rows, idx.size))
-            block_i, block_n = 0, idx.size
-        z, u, u_br = zs[block_i], us[block_i], ub[block_i]
-        block_i += 1
-
-        new_y = y + (vol_sdt * z + mu_dt)
-        lin = np.nonzero(on_line)[0]
-        if lin.size:
-            mags = np.abs(z[lin]) * vol_sdt
-            new_y[lin] = np.where(u[lin] < gamma, mags, -mags)
-        absn = np.abs(new_y)
-
-        crossed = (y > 0.0) != (new_y > 0.0)
-        crossed |= absn < _SNAP
-        if lin.size:
-            crossed[lin] = False
-        hit = (absn >= 1.0) & ~crossed
-
-        near = (absn > 1.0 - near_cut) & ~crossed & ~hit
-        nid = np.nonzero(near)[0]
-        if nid.size:
-            s = np.sign(new_y[nid])
-            gap = (1.0 - s * y[nid]) * (1.0 - s * new_y[nid])
-            bridge_ids = nid[u_br[nid] < np.exp(-2.0 * gap / vol2_dt)]
-        else:
-            bridge_ids = nid
-
-        cid = np.nonzero(crossed)[0]
-        hid = np.nonzero(hit)[0]
-        t += dt
-        if cid.size:
-            th = np.clip(y[cid] / (y[cid] - new_y[cid]), 0.0, 1.0)
-            t[cid] -= dt * (1.0 - th)
-        if hid.size:
-            tgt = np.sign(new_y[hid])
-            th = np.clip((tgt - y[hid]) / (new_y[hid] - y[hid]), 0.0, 1.0)
-            t[hid] -= dt * (1.0 - th)
-        if bridge_ids.size:
-            t[bridge_ids] -= 0.5 * dt
-
-        y = new_y
-        on_line.fill(False)
-        if cid.size:
-            y[cid] = 0.0
-            on_line[cid] = True
-
-        exit_ids = np.concatenate([hid, bridge_ids])
-        if exit_ids.size:
-            live = exit_ids[~recorded[exit_ids]]
-            if live.size:
-                g = idx[live]
-                out_t[g] = t[live]
-                out_s[g] = np.where(new_y[live] > 0, 1, -1)
-                recorded[live] = True
-            # park finished paths on the line until the next compaction
-            y[exit_ids] = 0.0
-            on_line[exit_ids] = True
-        if iters % _COMPACT_EVERY == 0 and recorded.any():
-            keep = ~recorded
-            idx, y, t, on_line = idx[keep], y[keep], t[keep], on_line[keep]
-            if block_i < block_rows:
-                zs, us, ub = zs[:, keep], us[:, keep], ub[:, keep]
-                block_n = idx.size
-            recorded = np.zeros(idx.size, dtype=bool)
-    return out_t, out_s
+    return _sojourns(params, n, rng, dt, y0)
 
 
 def sample_tau(
     params: ModelParams, rng: np.random.Generator, dt: float = 1e-4, y0: float = 0.0
 ) -> tuple[float, int]:
     """One (sojourn time, side) draw; see sample_tau_batch."""
-    t, s = sample_tau_batch(params, 1, rng, dt, y0)
+    t, s = _sojourns(params, 1, rng, dt, y0)
     return float(t[0]), int(s[0])
 
 
@@ -209,7 +119,7 @@ def run_skeleton(
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     vertex = start if start is not None else TreeVertex.root(params.p)
-    taus, _ = sample_tau_batch(params, n_steps, rng, dt)
+    taus, _ = _sojourns(params, n_steps, rng, dt, 0.0)
     up = rng.random(n_steps) < prob_up(params)
     branch = rng.integers(params.p, size=n_steps)
 

@@ -33,6 +33,23 @@ class TestParsing:
         assert exc.value.code == 1
 
 
+_MODEL = ["--q", "2", "--p", "2", "--alpha", "1", "--beta", "1"]
+
+
+class TestFlagRanges:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["escape", *_MODEL, "--dt", "0.05"], "--dt"),
+            (["escape", *_MODEL, "--paths", "0"], "--paths"),
+            (["simulate", *_MODEL, "--record-stride", "0"], "--record-stride"),
+        ],
+    )
+    def test_out_of_range_flag_is_a_usage_error(self, capsys, argv, flag):
+        assert main(argv) == 1
+        assert flag in capsys.readouterr().err
+
+
 class TestFormulas:
     def test_critical_parameters(self, capsys):
         code, out = run_cli(

@@ -1,21 +1,29 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from treebolic.analysis import ks_two_sample
 from treebolic.closed_forms import ModelParams
 from treebolic.pathsim import (
     NumericalError,
-    PathState,
     SimConfig,
+    _advance,
+    _Arrays,
+    _coeffs,
+    _DrawBlock,
+    _final_vertex,
+    _tree_point,
     final_tree_points,
     first_exit_batch,
     rebuild_vertices,
     run_batch,
     simulate_path,
-    step_euler,
 )
+from treebolic.padic import PadicRational
 from treebolic.skeleton import RngStream, sample_tau_batch
 from treebolic.space import HTParams, HTPoint, origin
 from treebolic.tree import TreePoint, TreeVertex
@@ -74,40 +82,116 @@ class TestConfig:
             SimConfig(record_stride=0)
 
 
-class TestScalarStep:
+def _one_step(params, dt, rng, rel=0.0, x=0.0):
+    """One kernel step of a single planar path anchored at the root line."""
+    st = _Arrays(1, 0, rel, x)
+    eids, dirs = _advance(st, _coeffs(params, dt), *_DrawBlock(rng, params.p, planar=True).next(1))
+    return st, eids, dirs
+
+
+class TestKernelStep:
     def test_deterministic_drift_only(self):
         # zero noise: the height moves by the drift, the abscissa stays put
         m = ModelParams(2.0, 2, 0.0, 1.0)  # drift (1 - 0)/log 2
-        cfg = SimConfig(dt=1e-3, horizon=1.0)
-        state = PathState(ROOT, 1.25, -0.5, 0.0, 0, False, -1, 0)
-        out = step_euler(state, m, cfg, _FakeRng(0.0))
-        assert out.rel == pytest.approx(-0.5 + 1e-3 / math.log(2.0))
-        assert out.x == 1.25
-        assert out.clock == pytest.approx(1e-3)
-        assert out.line_vertex == ROOT and not out.on_line
+        st, eids, _ = _one_step(m, 1e-3, _FakeRng(0.0), rel=-0.5, x=1.25)
+        assert st.rel[0] == pytest.approx(-0.5 + 1e-3 / math.log(2.0))
+        assert st.x[0] == 1.25
+        assert st.t[0] == pytest.approx(1e-3)
+        assert eids.size == 0 and st.level[0] == 0 and not st.on_line[0]
 
     def test_line_departure_bookkeeping(self):
-        cfg = SimConfig(dt=1e-3, horizon=1.0)
-        state = PathState.at_origin(BASE)
-        out = step_euler(state, BASE, cfg, _FakeRng(1.0))  # uniform 0.9 > gamma: down
-        assert out.exc_side == -1 and not out.on_line
-        assert out.rel == pytest.approx(-math.sqrt(2.0) / math.log(2.0) * math.sqrt(1e-3))
-        assert out.strip_vertex == ROOT
-        assert out.tree_point == TreePoint(ROOT, 1.0 + out.rel)
+        st, _, _ = _one_step(BASE, 1e-3, _FakeRng(1.0))  # uniform 0.9 > gamma: down
+        assert st.side[0] == -1 and not st.on_line[0]
+        rel = float(st.rel[0])
+        assert rel == pytest.approx(-math.sqrt(2.0) / math.log(2.0) * math.sqrt(1e-3))
+        w = _tree_point(ROOT, int(st.side[0]), int(st.child[0]), rel)
+        assert w == TreePoint(ROOT, 1.0 + rel)
+        assert w.upper == ROOT  # the strip vertex
 
-    def test_numerical_guard(self):
-        cfg = SimConfig(dt=1e-2, horizon=1.0)
-        state = PathState(ROOT, 0.0, -0.5, 0.0, 0, False, -1, 0)
+    @pytest.mark.parametrize("planar", [True, False])
+    def test_numerical_guard(self, planar):
+        st = _Arrays(1, 0, -0.5, 0.0 if planar else None)
+        draws = _DrawBlock(_FakeRng(80.0), BASE.p, planar)
         with pytest.raises(NumericalError):
-            step_euler(state, BASE, cfg, _FakeRng(80.0))
+            _advance(st, _coeffs(BASE, 1e-2), *draws.next(1))
+
+    def test_sojourn_sampler_raises_on_a_two_level_step(self):
+        with pytest.raises(NumericalError):
+            sample_tau_batch(BASE, 4, _FakeRng(80.0), dt=1e-2, y0=-0.5)
 
     def test_event_moves_anchor(self):
-        cfg = SimConfig(dt=1e-3, horizon=1.0)
-        state = PathState(ROOT, 0.0, -0.999, 0.0, 0, False, -1, 0)
-        out = step_euler(state, BASE, cfg, _FakeRng(-1.0))
-        assert out.n_events == 1
-        assert out.line_vertex == ROOT.predecessor()
-        assert out.on_line and out.rel == 0.0
+        st, eids, dirs = _one_step(BASE, 1e-3, _FakeRng(-1.0), rel=-0.999)
+        assert eids.tolist() == [0] and dirs.tolist() == [-1]
+        assert st.level[0] == -1 and st.n_events[0] == 1
+        assert st.on_line[0] and st.rel[0] == 0.0
+        assert rebuild_vertices(2, dirs, st.child[eids])[-1] == ROOT.predecessor()
+
+
+_PARAMS = hst.builds(
+    ModelParams,
+    q=hst.floats(1.05, 4.0),
+    p=hst.integers(1, 4),
+    alpha=hst.floats(-1.0, 3.0),
+    beta=hst.floats(0.1, 5.0),
+)
+
+
+def _proposed_offsets(st, co, z2, u_side):
+    """Where each path's offset would land before the line and boundary
+    rules: a free Euler step, or a departure from the line."""
+    mags = np.abs(z2) * co.vol_sdt
+    departure = np.where(u_side < co.gamma, mags, -mags)
+    return np.where(st.on_line, departure, st.rel + (co.vol_sdt * z2 + co.mu_dt))
+
+
+class TestKernelProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        params=_PARAMS,
+        dt=hst.floats(1e-5, 1e-2),
+        seed=hst.integers(0, 2**32 - 1),
+        planar=hst.booleans(),
+        rel=hst.sampled_from([0.0, -0.5, 0.9]),
+    )
+    def test_step_invariants(self, params, dt, seed, planar, rel):
+        n = 16
+        co = _coeffs(params, dt)
+        st = _Arrays(n, 0, rel, 0.0 if planar else None)
+        draws = _DrawBlock(np.random.default_rng(seed), params.p, planar)
+        for _ in range(300):
+            z1, z2, us, ub, uc = draws.next(n)
+            # the guard fires exactly when a step would carry the height two
+            # levels away from its anchor line
+            too_far = bool(np.abs(_proposed_offsets(st, co, z2, us)).max() >= 2.0)
+            level, t = st.level.copy(), st.t.copy()
+            try:
+                eids, dirs = _advance(st, co, z1, z2, us, ub, uc)
+            except NumericalError:
+                assert too_far
+                return
+            assert not too_far
+            assert np.all(np.abs(st.rel) < 1.0)
+            assert np.all(st.rel[st.on_line] == 0.0) and np.all(st.side[st.on_line] == 0)
+            assert np.all(np.abs(dirs) == 1)
+            moved = st.level - level
+            assert np.array_equal(moved[eids], dirs)
+            moved[eids] = 0
+            assert not moved.any()
+            # clocks advance by at most dt, up to the rounding of t + dt
+            ulp = 4.0 * np.spacing(st.t)
+            assert np.all(st.t >= t - ulp) and np.all(st.t <= t + dt + ulp)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        params=_PARAMS.filter(lambda m: m.q >= 2.0),
+        dt=hst.floats(1e-5, 1e-2),
+        steps=hst.integers(1, 200),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_horizon_run_stops_within_a_step(self, params, dt, steps, seed):
+        horizon = steps * dt
+        run = run_batch(params, SimConfig(dt=dt, horizon=horizon), 8, np.random.default_rng(seed))
+        assert np.all(run.t >= horizon) and np.all(run.t < horizon + dt)
 
 
 class TestSymmetries:
@@ -227,6 +311,18 @@ class TestHorizonRuns:
         for i, w in enumerate(points):
             assert w.hor == pytest.approx(run.y[i])
 
+    def test_replay_rejects_events_out_of_time_order(self):
+        run = run_batch(DRIFTED, SimConfig(dt=5e-4, horizon=2.0), 20, RngStream(18).generator())
+        i, j = np.nonzero(run.ev_path == run.ev_path[0])[0][:2]
+        swap = np.arange(run.ev_path.size)
+        swap[[i, j]] = [j, i]
+        swapped = dataclasses.replace(
+            run, ev_dir=run.ev_dir[swap], ev_child=run.ev_child[swap], ev_time=run.ev_time[swap]
+        )
+        final_tree_points(run)
+        with pytest.raises(ValueError, match="time order"):
+            final_tree_points(swapped)
+
     def test_checkpoint_recording(self):
         run = run_batch(
             BASE,
@@ -278,7 +374,23 @@ def test_rebuild_vertices():
     assert vs[-1] == vs[1]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    p=hst.integers(1, 4),
+    level=hst.integers(-6, 6),
+    num=hst.integers(0, 10**6),
+    denom=hst.integers(0, 8),
+    moves=hst.lists(hst.tuples(hst.sampled_from([-1, 1]), hst.integers(0, 3)), max_size=80),
+)
+def test_final_vertex_matches_the_vertex_replay(p, level, num, denom, moves):
+    start = TreeVertex(PadicRational(p, num if p > 1 else 0, denom), level)
+    dirs = [d for d, _ in moves]
+    childs = [c % p for _, c in moves]
+    assert _final_vertex(start, dirs, childs) == rebuild_vertices(p, dirs, childs, start)[-1]
+
+
 def test_origin_state_roundtrip():
-    st = PathState.at_origin(BASE)
-    assert st.point == origin(HTParams(2.0, 2))
-    assert st.strip_vertex == ROOT
+    st = _Arrays(1, 0, 0.0, 0.0)
+    w = _tree_point(ROOT, int(st.side[0]), int(st.child[0]), float(st.rel[0]))
+    assert HTPoint(float(st.x[0]), w) == origin(HTParams(2.0, 2))
+    assert w.upper == ROOT
