@@ -26,6 +26,7 @@ from .closed_forms import (
     clt_sigma2_distance,
     escape_rate,
     exp_tau,
+    is_critical,
     prob_up,
 )
 
@@ -148,10 +149,10 @@ def vertical_clt(params: ModelParams, heights, t: float) -> KsResult:
 
 def distance_clt(params: ModelParams, distances, t: float) -> KsResult:
     """KS of (d(X_t, origin) - t |ell|)/sqrt(t) against its normal limit
-    (variance log^2 q times the height-unit one).  Requires nonzero drift."""
-    ell = escape_rate(params)
-    if ell == 0.0:
+    (variance log^2 q times the height-unit one).  Requires drift."""
+    if is_critical(params):
         raise ValueError("drift-free parameters: use drift_free_clt")
+    ell = escape_rate(params)
     d = np.asarray(distances, dtype=float)
     sd = math.sqrt(clt_sigma2_distance(params) * t)
     return ks_against_cdf((d - t * abs(ell)) / sd, normal_cdf)
@@ -202,8 +203,8 @@ def drift_free_limit_sampler(
 
 def drift_free_clt(params: ModelParams, distances, t: float, limit_samples) -> KsResult:
     """Two-sample KS between d(X_t, origin)/sqrt(t) and limit-law draws.
-    Requires drift-free parameters."""
-    if escape_rate(params) != 0.0:
+    Requires drift-free parameters (closed_forms.is_critical)."""
+    if not is_critical(params):
         raise ValueError("drifted parameters: use distance_clt")
     d = np.asarray(distances, dtype=float) / math.sqrt(t)
     return ks_two_sample(d, np.asarray(limit_samples, dtype=float))

@@ -229,12 +229,12 @@ def _cmd_clt(args) -> int:
         points = final_tree_points(run)
         dists = np.array([distance_to_origin(params, x, w) for x, w in zip(run.x, points)])
         if args.kind == "distance":
-            if cf.escape_rate(params) == 0.0:
+            if cf.is_critical(params):
                 print("distance CLT needs nonzero drift; use --kind driftfree", file=sys.stderr)
                 return 1
             report["ks"] = analysis.distance_clt(params, dists, horizon).statistic
         else:
-            if cf.escape_rate(params) != 0.0:
+            if not cf.is_critical(params):
                 print("drift-free CLT needs zero drift; use --kind distance", file=sys.stderr)
                 return 1
             limit = analysis.draw_limit_samples(

@@ -35,6 +35,10 @@ import math
 from dataclasses import dataclass
 
 _REL_TOL = 1e-18
+#: rho within this of 1 is critical (drift-free): six typed digits, such as
+#: beta = 0.288675 for 1/(2 sqrt 3) at q = 3, p = 2, alpha = 0.5, miss rho = 1
+#: by a few 1e-7, a drift no simulated horizon resolves.
+CRITICAL_TOL = 1e-6
 _MAX_TERMS = 200
 _S_RANGE = 700.0
 
@@ -195,13 +199,15 @@ def clt_sigma2_distance(params: ModelParams) -> float:
     return params.log_q**2 * clt_sigma2(params)
 
 
+def is_critical(params: ModelParams) -> bool:
+    """rho = 1 up to CRITICAL_TOL: no vertical drift on the skeleton."""
+    return abs(rho(params) - 1.0) <= CRITICAL_TOL
+
+
 def classify_regime(params: ModelParams) -> Regime:
-    r = rho(params)
-    if r > 1.0:
-        return Regime.UPWARD
-    if r < 1.0:
-        return Regime.DOWNWARD
-    return Regime.CRITICAL
+    if is_critical(params):
+        return Regime.CRITICAL
+    return Regime.UPWARD if rho(params) > 1.0 else Regime.DOWNWARD
 
 
 @dataclass(frozen=True)

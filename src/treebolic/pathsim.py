@@ -10,27 +10,29 @@ of the generator, evaluated at the pre-step height.  Per step:
 
 State is anchored at the last-touched line: a path stores that line's level,
 the height offset rel in (-1, 1) relative to it, and which side of the line
-the current excursion occupies (an up-excursion also stores which of the p
-forward branches it entered; branches are drawn uniformly at every
-departure).  When the offset reaches +-1 the path commits to a neighboring
+(and, going up, which of the p forward branches) the current excursion
+occupies.  When the offset reaches +-1 the path commits to a neighboring
 line: that is a skeleton event, the anchor moves, and the event is recorded
 so the tree position can be replayed afterwards.
 
-Line touches and boundary hits are located by linear interpolation inside
-the step and the abscissa increment is scaled by sqrt of the step fraction.
-Steps that end inside the strip may still have crossed +-1 in between; a
-Brownian-bridge test catches those excursions, which removes the dominant
-exit-time overshoot of the plain endpoint rule.  Departures from a line draw
-the side with up-probability gamma = beta p/(beta p + 1) and restart at
-|N(0, 2 dt / log^2 q)| from the line.
+Line touches and boundary hits are interpolated inside the step, which then
+counts for its fraction of dt; a Brownian-bridge test catches steps that
+crossed +-1 in between.  A departure from a line moves |N(0, 2 dt / log^2 q)|
+up with probability gamma = beta p/(beta p + 1), else down, plus the drift,
+which may carry it across the line; its uniform, rescaled within its side,
+picks the branch.
 
-One kernel, `_advance`, takes every Euler step of the package, and one
-batch loop, `_drive`, runs it until each path of a batch finishes: at a fixed
-horizon (`run_batch`, `simulate_path`) or at its first skeleton event
-(`first_exit_batch`, and `skeleton.sample_tau_batch`, which runs the kernel
-in height-only mode, without the abscissa and the branches).  Tree vertices
-never enter the hot loop: they are rebuilt from the recorded event stream,
-which keeps the stepping fully vectorized across paths.
+Only the height noise is drawn on every step.  Given the height path the
+abscissa increments are independent centred Gaussians, so a path accrues
+their variance and draws one normal when its abscissa is read (an event, a
+checkpoint, a record, the horizon, or every step when its running maximum
+is tracked): exact in law for the Euler scheme.  The side and bridge
+uniforms come from a shared pool, one per path on a line or near a boundary.
+
+One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
+runs it to a fixed horizon (`run_batch`, `simulate_path`) or to each path's
+first skeleton event (`first_exit_batch`; `skeleton.sample_tau_batch` runs
+it height-only).  Tree vertices are rebuilt afterwards from the event stream.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ MAX_DT = 1e-2
 _SNAP = 1e-12
 _HARD_ITER_CAP = 1_000_000_000
 _BLOCK = 256
+_POOL = 16384
 _COMPACT_EVERY = 64
-_SQRT2 = math.sqrt(2.0)
-_SQRT_HALF = math.sqrt(0.5)
 
 
 class NumericalError(RuntimeError):
@@ -83,10 +84,11 @@ class _Coeffs:
     dt: float
     mu_dt: float
     vol_sdt: float
-    vol2_dt: float
+    bridge_rate: float  # -2 / (the height variance of one step)
     x_scale: float
-    log_q: float
+    two_log_q: float
     gamma: float
+    p: int
     near_cut: float  # distance from the boundary below which the bridge test runs
 
 
@@ -97,21 +99,22 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
         dt=dt,
         mu_dt=(1.0 - params.alpha) / log_q * dt,
         vol_sdt=vol_sdt,
-        vol2_dt=vol_sdt * vol_sdt,
-        x_scale=_SQRT2 * math.sqrt(dt),
-        log_q=log_q,
+        bridge_rate=-2.0 / (vol_sdt * vol_sdt),
+        x_scale=math.sqrt(2.0 * dt),
+        two_log_q=2.0 * log_q,
         gamma=params.beta * params.p / (params.beta * params.p + 1.0),
+        p=params.p,
         near_cut=min(5.0 * vol_sdt, 0.5),
     )
 
 
 class _Arrays:
     """Mutable per-path state: anchor level, offset, clock, on-line flag,
-    excursion side and branch, and events so far.  Planar state also carries
-    the abscissa (plus an optional running maximum of the sideways
-    displacement); height-only state has x = None."""
+    excursion side and branch, and events so far.  Planar state adds the
+    abscissa at its last observation, the variance accrued since, in units
+    of 2 dt q**(2 level), and optionally the running max of |x - x0|."""
 
-    __slots__ = ("level", "rel", "t", "on_line", "side", "child", "n_events", "x", "xmax", "x0")
+    __slots__ = ("level", "rel", "t", "on_line", "side", "child", "n_events", "x", "xvar", "xmax", "x0")
 
     def __init__(self, n: int, level: int, rel: float, x: float | None = None, track_max=False):
         self.level = np.full(n, level, dtype=np.int64)
@@ -122,6 +125,7 @@ class _Arrays:
         self.child = np.zeros(n, dtype=np.int16)
         self.n_events = np.zeros(n, dtype=np.int64)
         self.x = None if x is None else np.full(n, float(x))
+        self.xvar = None if x is None else np.zeros(n)
         self.xmax = np.zeros(n) if track_max else None
         self.x0 = np.full(n, float(x)) if track_max else None
 
@@ -133,50 +137,36 @@ class _Arrays:
 
 
 class _DrawBlock:
-    """Pre-drawn blocks of step noise to amortize generator call overhead.
-    Planar runs draw the x-noise, the height noise, the side and bridge
-    uniforms and the branches; height-only runs draw the middle three.
-    Block depth shrinks for wide path batches to bound the memory held in
-    raw draws.  On compaction the surviving columns are kept, so removing
-    paths does not disturb the others' draws."""
+    """Pre-drawn noise, to amortize generator call overhead.  The height
+    normals, read by every path on every step, come in blocks of rows, less
+    deep for wide batches; compaction keeps the surviving columns, so it
+    does not disturb the other paths' draws.  The side and bridge uniforms,
+    read only on a line or near a boundary, come in order from a pool."""
 
-    def __init__(self, rng: np.random.Generator, p: int, planar: bool):
+    def __init__(self, rng: np.random.Generator):
         self.rng = rng
-        self.p = p
-        self.planar = planar
-        self.rows = 0
-        self.i = 0
-        self.n = -1
-        self.z1 = self.uc = None
+        self.z = np.empty((0, 0))
+        self.pool = np.empty(0)
+        self.i = self.j = 0
 
-    def next(self, n: int):
-        if self.i >= self.rows or n != self.n:
-            self.rows = max(8, min(_BLOCK, 2_000_000 // max(n, 1)))
-            shape = (self.rows, n)
-            if self.planar:
-                self.z1 = self.rng.standard_normal(shape)
-            self.z2 = self.rng.standard_normal(shape)
-            self.us = self.rng.random(shape)
-            self.ub = self.rng.random(shape)
-            if self.planar:
-                self.uc = self.rng.integers(0, self.p, size=shape, dtype=np.int16)
+    def next(self, n: int) -> np.ndarray:
+        """The height normals of the next step of n paths."""
+        if self.i >= self.z.shape[0] or n != self.z.shape[1]:
+            self.z = self.rng.standard_normal((max(8, min(_BLOCK, 2_000_000 // n)), n))
             self.i = 0
-            self.n = n
-        i = self.i
         self.i += 1
-        if self.planar:
-            return self.z1[i], self.z2[i], self.us[i], self.ub[i], self.uc[i]
-        return None, self.z2[i], self.us[i], self.ub[i], None
+        return self.z[self.i - 1]
+
+    def uniforms(self, k: int) -> np.ndarray:
+        if self.j + k > self.pool.size:
+            self.pool = self.rng.random(max(k, _POOL))
+            self.j = 0
+        self.j += k
+        return self.pool[self.j - k : self.j]
 
     def compress(self, keep: np.ndarray) -> None:
-        if self.n != -1 and self.i < self.rows:
-            for name in ("z1", "z2", "us", "ub", "uc"):
-                block = getattr(self, name)
-                if block is not None:
-                    setattr(self, name, block[:, keep])
-            self.n = int(keep.sum()) if keep.dtype == bool else keep.size
-        else:
-            self.n = -1
+        self.z = self.z[self.i :, keep]
+        self.i = 0
 
 
 class _Buf:
@@ -197,76 +187,85 @@ class _Buf:
         return self.a[: self.n].copy()
 
 
-def _advance(st: _Arrays, co: _Coeffs, z1, z2, u_side, u_bridge, u_child):
-    """One synchronized Euler step over all paths.
+def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc=slice(None)) -> None:
+    """Bring the abscissae at loc (default: all) up to their clocks: one
+    normal each, with the variance accrued since the last observation."""
+    sd = np.sqrt(st.xvar[loc]) * np.exp(0.5 * co.two_log_q * st.level[loc])
+    st.x[loc] += co.x_scale * sd * rng.standard_normal(sd.size)
+    st.xvar[loc] = 0.0
 
-    In height-only mode (st.x is None) z1 and u_child are None and the
-    abscissa and branches are left alone.  Returns (event_ids, event_dirs):
-    the paths that committed to a new line this step and the direction they
-    moved.  The anchor level, offsets, clocks, event counts, abscissae and
-    excursion bookkeeping are updated in place.
-    """
+
+def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
+    """One synchronized Euler step over all paths, with height normals z and
+    the side and bridge uniforms taken from draws.  Height-only state
+    (st.x is None) skips the abscissa variance and the branches.
+
+    Returns (event_ids, event_dirs): the paths that committed to a new line
+    this step and the direction they moved.  Everything else in st is
+    updated in place."""
+    planar = st.x is not None
     rel0 = st.rel
-    new_rel = rel0 + (co.vol_sdt * z2 + co.mu_dt)
+    new_rel = rel0 + (co.vol_sdt * z + co.mu_dt)
 
     lin = np.nonzero(st.on_line)[0]
     if lin.size:
-        mags = np.abs(z2[lin]) * co.vol_sdt
-        up = u_side[lin] < co.gamma
-        new_rel[lin] = np.where(up, mags, -mags)
-        st.side[lin] = np.where(up, 1, -1)
-        if u_child is not None:
-            st.child[lin] = np.where(up, u_child[lin], st.child[lin])
+        u = draws.uniforms(lin.size)
+        # up with probability gamma, then the drift
+        dep = np.copysign(np.abs(z[lin]), co.gamma - u) * co.vol_sdt + co.mu_dt
+        new_rel[lin] = dep
+        st.side[lin] = np.sign(dep)  # the drift may carry it across the line
+        if planar:
+            # within its side u is uniform again: rescaled, it picks the branch
+            v = np.where(u < co.gamma, u / co.gamma, (u - co.gamma) / (1.0 - co.gamma))
+            st.child[lin] = np.minimum(v * co.p, co.p - 1)
 
+    # crossed the anchor line, or landed within _SNAP of it (side = sign of rel0)
     absn = np.abs(new_rel)
-    if absn.max() >= 2.0:
-        raise NumericalError("height moved more than one level in one step")
-
-    crossed = (rel0 > 0.0) != (new_rel > 0.0)
-    crossed |= absn < _SNAP
+    crossed = new_rel * st.side < _SNAP
     if lin.size:
         crossed[lin] = False
-    hit = (absn >= 1.0) & ~crossed
 
-    # bridge test: did an inside-to-inside step cross the boundary in between?
-    near = (absn > 1.0 - co.near_cut) & ~crossed & ~hit
-    nid = np.nonzero(near)[0]
+    # paths at or near the boundary: events, or the bridge test, which asks
+    # whether an inside-to-inside step crossed the boundary in between
+    cand = np.nonzero(absn > 1.0 - co.near_cut)[0]
+    if cand.size and absn[cand].max() >= 2.0:
+        raise NumericalError("height moved more than one level in one step")
+    cand = cand[~crossed[cand]]
+    reached = absn[cand] >= 1.0
+    hid, nid = cand[reached], cand[~reached]
     if nid.size:
-        s = np.sign(new_rel[nid])
-        gap = (1.0 - s * rel0[nid]) * (1.0 - s * new_rel[nid])
-        fired = u_bridge[nid] < np.exp(-2.0 * gap / co.vol2_dt)
+        gap = 1.0 - np.sign(new_rel[nid]) * rel0[nid]
+        gap *= 1.0 - absn[nid]
+        fired = draws.uniforms(nid.size) < np.exp(gap * co.bridge_rate)
         bridge_ids = nid[fired]
     else:
         bridge_ids = nid
 
-    # clock and abscissa; split steps end at their fraction of the step and
-    # get the sqrt-scaled share of the x-noise
-    planar = st.x is not None
+    # clock and abscissa variance (in units of 2 dt q**(2 level)); split
+    # steps end at their fraction of the step and accrue that fraction
     if planar:
-        dx = np.exp(co.log_q * (st.level + rel0))
-        dx *= co.x_scale
-        dx *= z1
+        w = np.exp(co.two_log_q * rel0)
     st.t += co.dt
     cid = np.nonzero(crossed)[0]
     if cid.size:
-        frac = np.clip(rel0[cid] / (rel0[cid] - new_rel[cid]), 0.0, 1.0)
+        frac = np.minimum(rel0[cid] / (rel0[cid] - new_rel[cid]), 1.0)
         st.t[cid] -= co.dt * (1.0 - frac)
         if planar:
-            dx[cid] *= np.sqrt(frac)
-    hid = np.nonzero(hit)[0]
+            w[cid] *= frac
     if hid.size:
         tgt = np.sign(new_rel[hid])
-        frac = np.clip((tgt - rel0[hid]) / (new_rel[hid] - rel0[hid]), 0.0, 1.0)
+        frac = (tgt - rel0[hid]) / (new_rel[hid] - rel0[hid])
         st.t[hid] -= co.dt * (1.0 - frac)
         if planar:
-            dx[hid] *= np.sqrt(frac)
+            w[hid] *= frac
     if bridge_ids.size:
         st.t[bridge_ids] -= 0.5 * co.dt
         if planar:
-            dx[bridge_ids] *= _SQRT_HALF
+            w[bridge_ids] *= 0.5
     if planar:
-        st.x += dx
+        st.xvar += w
         if st.xmax is not None:
+            _observe(st, co, draws.rng)
             np.maximum(st.xmax, np.abs(st.x - st.x0), out=st.xmax)
 
     st.rel = new_rel
@@ -274,10 +273,7 @@ def _advance(st: _Arrays, co: _Coeffs, z1, z2, u_side, u_bridge, u_child):
     if cid.size:
         new_rel[cid] = 0.0
         st.side[cid] = 0
-    if bridge_ids.size:
-        event_ids = np.sort(np.concatenate([hid, bridge_ids])) if hid.size else bridge_ids
-    else:
-        event_ids = hid
+    event_ids = np.sort(np.concatenate([hid, bridge_ids])) if hid.size else bridge_ids
     if not event_ids.size:
         return event_ids, event_ids  # both empty
     dirs = np.where(new_rel[event_ids] > 0, 1, -1)
@@ -286,6 +282,8 @@ def _advance(st: _Arrays, co: _Coeffs, z1, z2, u_side, u_bridge, u_child):
     st.side[event_ids] = 0
     st.level[event_ids] += dirs
     st.n_events[event_ids] += 1
+    if planar:
+        st.xvar[event_ids] *= np.exp(-co.two_log_q * dirs)
     return event_ids, dirs
 
 
@@ -316,8 +314,16 @@ def _drive(
     * on_record(g, loc) for the unfinished paths every record_stride
       iterations.
 
+    The abscissae that on_finish and on_record read are observed first.
     Finished paths keep stepping until the next compaction, unseen by hooks.
     """
+
+    def finish(loc, dirs):
+        if st.x is not None:
+            _observe(st, co, draws.rng, loc)
+        on_finish(idx[loc], loc, dirs)
+        recorded[loc] = True
+
     idx = np.arange(st.t.size)
     recorded = np.zeros(idx.size, dtype=bool)  # over current (compacted) slots
     iters = 0
@@ -325,14 +331,13 @@ def _drive(
         iters += 1
         if iters > max_iter:
             raise RuntimeError("path run exceeded its iteration budget")
-        eids, dirs = _advance(st, co, *draws.next(idx.size))
+        eids, dirs = _advance(st, co, draws.next(idx.size), draws)
         if eids.size:
             live = ~recorded[eids]
             eids, dirs = eids[live], dirs[live]
             if eids.size:
                 if horizon is None:
-                    on_finish(idx[eids], eids, dirs)
-                    recorded[eids] = True
+                    finish(eids, dirs)
                 elif on_events is not None:
                     on_events(idx[eids], eids, dirs)
         if horizon is not None:
@@ -340,12 +345,11 @@ def _drive(
                 on_checkpoints(idx, ~recorded)
             done = ~recorded & (st.t >= horizon)
             if done.any():
-                d = np.nonzero(done)[0]
-                on_finish(idx[d], d, None)
-                recorded[d] = True
+                finish(np.nonzero(done)[0], None)
         if record_stride and iters % record_stride == 0:
             loc = np.nonzero(~recorded)[0]
             if loc.size:
+                _observe(st, co, draws.rng, loc)
                 on_record(idx[loc], loc)
         if iters % _COMPACT_EVERY == 0 and recorded.any():
             keep = ~recorded
@@ -377,7 +381,12 @@ class BatchRun:
     ev_child: np.ndarray
     ev_time: np.ndarray
     checkpoint_times: np.ndarray | None = None
-    checkpoint_x: np.ndarray | None = None
+    #: per field of the final state, its values at the checkpoints, (n, k)
+    checkpoint_state: dict[str, np.ndarray] | None = None
+
+    @property
+    def checkpoint_x(self) -> np.ndarray | None:
+        return None if self.checkpoint_state is None else self.checkpoint_state["x"]
 
     @property
     def y(self) -> np.ndarray:
@@ -420,9 +429,10 @@ def _run_to_horizon(
     on_record=None,
 ) -> BatchRun:
     """Drive the planar paths of st to the horizon, keeping the event stream,
-    the abscissae at the checkpoints and, through on_record, the states every
+    the states at the checkpoints and, through on_record, the states every
     record_stride steps."""
     n = st.t.size
+    co, draws = _coeffs(params, config.dt), _DrawBlock(rng)
     out = _Arrays(n, start_level, 0.0, 0.0)
     zero_visits = np.zeros(n, dtype=np.int64)
     ev_path, ev_dir = _Buf(np.int64), _Buf(np.int64)
@@ -444,26 +454,28 @@ def _run_to_horizon(
     if cps is not None:
         if cps.size and (np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon):
             raise ValueError("checkpoints must be increasing and within the horizon")
-        cp_x = np.zeros((n, cps.size))
+        cp = {name: np.zeros((n, cps.size), getattr(st, name).dtype) for name in _FINAL}
     if cps is not None and cps.size:
         cp_ptr = np.zeros(n, dtype=np.int64)
         cps_ext = np.append(cps, np.inf)
 
         def on_checkpoints(idx, live):
             while True:
-                due = np.take(cps_ext, np.minimum(cp_ptr[idx], cps.size))
+                due = cps_ext[cp_ptr[idx]]
                 hit = live & (st.t >= due)
                 if not hit.any():
                     return
                 h = np.nonzero(hit)[0]
                 g = idx[h]
-                cp_x[g, cp_ptr[g]] = st.x[h]
+                _observe(st, co, draws.rng, h)
+                for name, arr in cp.items():
+                    arr[g, cp_ptr[g]] = getattr(st, name)[h]
                 cp_ptr[g] += 1
 
     _drive(
         st,
-        _DrawBlock(rng, params.p, planar=True),
-        _coeffs(params, config.dt),
+        draws,
+        co,
         max_iter=min(_HARD_ITER_CAP, int(2 * config.horizon / config.dt) + 100_000),
         on_finish=on_finish,
         horizon=config.horizon,
@@ -491,7 +503,7 @@ def _run_to_horizon(
         ev_child=ev_child.data(),
         ev_time=ev_time.data(),
         checkpoint_times=cps,
-        checkpoint_x=cp_x if cps is not None else None,
+        checkpoint_state=cp if cps is not None else None,
     )
 
 
@@ -555,8 +567,7 @@ def _first_events(params: ModelParams, dt: float, rng: np.random.Generator, st: 
             if xmax is not None:
                 xmax[g] = st.xmax[loc]
 
-    draws = _DrawBlock(rng, params.p, planar)
-    _drive(st, draws, _coeffs(params, dt), max_iter=_HARD_ITER_CAP, on_finish=on_finish)
+    _drive(st, _DrawBlock(rng), _coeffs(params, dt), max_iter=_HARD_ITER_CAP, on_finish=on_finish)
     return tau, side, child, x, xmax
 
 
@@ -613,17 +624,28 @@ def _tree_point(anchor: TreeVertex, side: int, child: int, rel: float) -> TreePo
     return TreePoint(anchor, 1.0 + rel)
 
 
-def final_tree_points(run: BatchRun, start: TreeVertex | None = None) -> list[TreePoint]:
-    """Replay the event stream and return each path's final tree position."""
+def final_tree_points(
+    run: BatchRun, start: TreeVertex | None = None, checkpoint: int | None = None
+) -> list[TreePoint]:
+    """Replay the event stream and return each path's final tree position, or
+    its position at the checkpoint of that index."""
     p = run.params.p
     base = start if start is not None else TreeVertex.root(p)
     order, starts = _events_by_path(run)
+    ends = starts[1:]
+    if checkpoint is None:
+        side, child, rel = run.side, run.child, run.rel
+    else:
+        cs = run.checkpoint_state
+        side, child, rel = (cs[name][:, checkpoint] for name in ("side", "child", "rel"))
+        # a path's events up to its checkpoint are its first n_events
+        ends = [s0 + k for s0, k in zip(starts, cs["n_events"][:, checkpoint].tolist())]
     points = []
     for i in range(run.n_paths):
-        sl = order[starts[i] : starts[i + 1]]
+        sl = order[starts[i] : ends[i]]
         anchor = _final_vertex(base, run.ev_dir[sl].tolist(), run.ev_child[sl].tolist())
         points.append(
-            _tree_point(anchor, int(run.side[i]), int(run.child[i]), float(run.rel[i]))
+            _tree_point(anchor, int(side[i]), int(child[i]), float(rel[i]))
         )
     return points
 

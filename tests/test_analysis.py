@@ -119,6 +119,11 @@ class TestCltStatistics:
             analysis.distance_clt(BASE, [1.0], 1.0)
         with pytest.raises(ValueError):
             analysis.drift_free_clt(DRIFTED, [1.0], 1.0, [1.0])
+        # rho = 1 up to closed_forms.CRITICAL_TOL counts as drift-free
+        near = ModelParams(3.0, 2, 0.5, 0.288675)
+        assert analysis.drift_free_clt(near, [1.0], 1.0, [1.0]).statistic == 0.0
+        with pytest.raises(ValueError):
+            analysis.distance_clt(near, [1.0], 1.0)
 
 
 class TestLimitSampler:

@@ -153,6 +153,15 @@ class TestAnalysisCommands:
         )
         assert code == 1
 
+    def test_clt_near_critical_parameters_are_drift_free(self, capsys):
+        # beta typed to six digits for rho = 1 (1/(2 sqrt 3) at q = 3)
+        flags = ["--q", "3", "--p", "2", "--alpha", "0.5", "--beta", "0.288675",
+                 "--dt", "1e-3", "--horizon", "0.5", "--paths", "20", "--limit-samples", "200"]
+        code, out = run_cli(capsys, "clt", *flags, "--kind", "driftfree")
+        assert code == 0
+        assert 0.0 <= json.loads(out)["ks"] <= 1.0
+        assert main(["clt", *flags, "--kind", "distance"]) == 1
+
     def test_exit_measure_report(self, capsys):
         code, out = run_cli(
             capsys,

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from treebolic.closed_forms import (
+    CRITICAL_TOL,
     ClosedForms,
     ModelParams,
     Regime,
@@ -12,6 +13,7 @@ from treebolic.closed_forms import (
     clt_sigma2_distance,
     escape_rate,
     exp_tau,
+    is_critical,
     laplace_joint,
     laplace_tau,
     mean_step,
@@ -27,6 +29,7 @@ from treebolic.closed_forms import (
 
 BASE = ModelParams(2.0, 2, 1.0, 0.5)  # rho = 1
 DRIFTED = ModelParams(2.0, 2, 1.0, 1.0)  # rho = 2
+NEAR_CRITICAL = ModelParams(3.0, 2, 0.5, 0.288675)  # beta typed for 1/(2 sqrt 3)
 
 GRID = [
     ModelParams(q, p, a, b)
@@ -159,9 +162,19 @@ class TestRatesAndRegimes:
             r = rho(m)
             assert math.copysign(1.0, ell) == math.copysign(1.0, r - 1.0) or ell == 0.0
             expected = (
-                Regime.UPWARD if r > 1 else Regime.DOWNWARD if r < 1 else Regime.CRITICAL
+                Regime.CRITICAL if abs(r - 1) <= CRITICAL_TOL
+                else Regime.UPWARD if r > 1 else Regime.DOWNWARD
             )
             assert classify_regime(m) is expected
+
+    def test_critical_up_to_the_tolerance(self):
+        assert rho(NEAR_CRITICAL) != 1.0 and abs(rho(NEAR_CRITICAL) - 1.0) < CRITICAL_TOL
+        assert is_critical(NEAR_CRITICAL) and is_critical(BASE)
+        assert classify_regime(NEAR_CRITICAL) is Regime.CRITICAL
+        # a beta off by 10 tolerances in rho leaves the critical regime
+        for sign, regime in ((1, Regime.UPWARD), (-1, Regime.DOWNWARD)):
+            m = ModelParams(2.0, 2, 1.0, 0.5 * (1.0 + sign * 10 * CRITICAL_TOL))
+            assert not is_critical(m) and classify_regime(m) is regime
 
     def test_sigma2_critical_value(self):
         assert clt_sigma2(BASE) == pytest.approx(2.0 / math.log(2.0) ** 2, rel=1e-12)

@@ -16,6 +16,7 @@ from treebolic.pathsim import (
     _coeffs,
     _DrawBlock,
     _final_vertex,
+    _observe,
     _tree_point,
     final_tree_points,
     first_exit_batch,
@@ -34,7 +35,7 @@ ROOT = TreeVertex.root(2)
 
 
 class _FakeRng:
-    """Deterministic draws: fixed normal values, uniform 0.9, child 0."""
+    """Deterministic draws: fixed normal values, uniform 0.9."""
 
     def __init__(self, z=0.0):
         self.z = z
@@ -45,29 +46,32 @@ class _FakeRng:
     def random(self, size=None):
         return np.full(size, 0.9) if size is not None else 0.9
 
-    def integers(self, *args, **kwargs):
-        size = kwargs.get("size")
-        return np.zeros(size, dtype=kwargs.get("dtype", np.int64))
-
 
 class _FlipX:
-    """Wraps a generator, negating the x-noise block (the first of each pair
-    of consecutive normal blocks drawn by the kernel)."""
+    """Wraps a generator, negating the abscissa normals: the one-dimensional
+    normal draws, one per observation (the height normals come in 2-D
+    blocks)."""
 
     def __init__(self, seed):
         self.g = np.random.default_rng(seed)
-        self.calls = 0
 
     def standard_normal(self, size=None):
         out = self.g.standard_normal(size)
-        self.calls += 1
-        return -out if self.calls % 2 == 1 else out
+        return -out if np.ndim(out) == 1 else out
 
     def random(self, size=None):
         return self.g.random(size)
 
-    def integers(self, *args, **kwargs):
-        return self.g.integers(*args, **kwargs)
+
+class _Recording(_DrawBlock):
+    """A draw block that keeps the uniforms handed out since the last reset."""
+
+    taken: list
+
+    def uniforms(self, k):
+        u = super().uniforms(k)
+        self.taken.append(u.copy())
+        return u
 
 
 class TestConfig:
@@ -85,19 +89,41 @@ class TestConfig:
 def _one_step(params, dt, rng, rel=0.0, x=0.0):
     """One kernel step of a single planar path anchored at the root line."""
     st = _Arrays(1, 0, rel, x)
-    eids, dirs = _advance(st, _coeffs(params, dt), *_DrawBlock(rng, params.p, planar=True).next(1))
+    draws = _DrawBlock(rng)
+    eids, dirs = _advance(st, _coeffs(params, dt), draws.next(1), draws)
     return st, eids, dirs
 
 
 class TestKernelStep:
     def test_deterministic_drift_only(self):
         # zero noise: the height moves by the drift, the abscissa stays put
+        # while its variance accrues: q**(2 Y) at the pre-step height, in
+        # units of 2 dt at level 0
         m = ModelParams(2.0, 2, 0.0, 1.0)  # drift (1 - 0)/log 2
         st, eids, _ = _one_step(m, 1e-3, _FakeRng(0.0), rel=-0.5, x=1.25)
         assert st.rel[0] == pytest.approx(-0.5 + 1e-3 / math.log(2.0))
         assert st.x[0] == 1.25
+        assert st.xvar[0] == pytest.approx(2.0**-1.0)
         assert st.t[0] == pytest.approx(1e-3)
         assert eids.size == 0 and st.level[0] == 0 and not st.on_line[0]
+
+    def test_observation_draws_the_accrued_variance(self):
+        co = _coeffs(BASE, 1e-3)
+        st = _Arrays(2, 0, -0.5, 1.0)
+        st.xvar[:] = [0.25, 4.0]
+        _observe(st, co, _FakeRng(1.5), np.array([1]))
+        assert st.x.tolist() == [1.0, 1.0 + 1.5 * math.sqrt(2e-3 * 4.0)]
+        assert st.xvar.tolist() == [0.25, 0.0]
+
+    def test_observation_at_a_large_level(self):
+        # q**(2 level) overflows at level 600 with q = 2; q**level does not
+        co = _coeffs(BASE, 1e-3)
+        st = _Arrays(1, 600, -0.5, 0.0)
+        st.xvar[:] = 1.0
+        _observe(st, co, _FakeRng(1.0))
+        assert st.x[0] == pytest.approx(math.sqrt(2e-3) * 2.0**600)
+        fe = first_exit_batch(BASE, 16, RngStream(21).generator(), dt=1e-3, start_level=600)
+        assert np.isfinite(fe.x).all()
 
     def test_line_departure_bookkeeping(self):
         st, _, _ = _one_step(BASE, 1e-3, _FakeRng(1.0))  # uniform 0.9 > gamma: down
@@ -108,12 +134,23 @@ class TestKernelStep:
         assert w == TreePoint(ROOT, 1.0 + rel)
         assert w.upper == ROOT  # the strip vertex
 
+    def test_line_departure_carries_the_drift(self):
+        m = ModelParams(2.0, 2, 0.0, 1.0)  # drift 1/log 2, gamma 2/3 < 0.9: down
+        co = _coeffs(m, 1e-3)
+        st, _, _ = _one_step(m, 1e-3, _FakeRng(1.0))
+        assert st.rel[0] == pytest.approx(co.mu_dt - co.vol_sdt)
+        # a down-departure the drift carries across the line starts an
+        # up-excursion, in the branch (0.9 - gamma)/(1 - gamma) = 0.7 picks
+        st, _, _ = _one_step(m, 1e-3, _FakeRng(0.5 * co.mu_dt / co.vol_sdt))
+        assert st.rel[0] == pytest.approx(0.5 * co.mu_dt)
+        assert st.side[0] == 1 and st.child[0] == 1 and not st.on_line[0]
+
     @pytest.mark.parametrize("planar", [True, False])
     def test_numerical_guard(self, planar):
         st = _Arrays(1, 0, -0.5, 0.0 if planar else None)
-        draws = _DrawBlock(_FakeRng(80.0), BASE.p, planar)
+        draws = _DrawBlock(_FakeRng(80.0))
         with pytest.raises(NumericalError):
-            _advance(st, _coeffs(BASE, 1e-2), *draws.next(1))
+            _advance(st, _coeffs(BASE, 1e-2), draws.next(1), draws)
 
     def test_sojourn_sampler_raises_on_a_two_level_step(self):
         with pytest.raises(NumericalError):
@@ -136,12 +173,13 @@ _PARAMS = hst.builds(
 )
 
 
-def _proposed_offsets(st, co, z2, u_side):
+def _proposed_offsets(on_line, rel, co, z, u_side):
     """Where each path's offset would land before the line and boundary
-    rules: a free Euler step, or a departure from the line."""
-    mags = np.abs(z2) * co.vol_sdt
-    departure = np.where(u_side < co.gamma, mags, -mags)
-    return np.where(st.on_line, departure, st.rel + (co.vol_sdt * z2 + co.mu_dt))
+    rules: a free Euler step, or a departure from the line plus the drift."""
+    out = rel + (co.vol_sdt * z + co.mu_dt)
+    dep = np.abs(z[on_line]) * co.vol_sdt
+    out[on_line] = np.where(u_side < co.gamma, dep, -dep) + co.mu_dt
+    return out
 
 
 class TestKernelProperties:
@@ -157,21 +195,29 @@ class TestKernelProperties:
         n = 16
         co = _coeffs(params, dt)
         st = _Arrays(n, 0, rel, 0.0 if planar else None)
-        draws = _DrawBlock(np.random.default_rng(seed), params.p, planar)
+        draws = _Recording(np.random.default_rng(seed))
         for _ in range(300):
-            z1, z2, us, ub, uc = draws.next(n)
-            # the guard fires exactly when a step would carry the height two
-            # levels away from its anchor line
-            too_far = bool(np.abs(_proposed_offsets(st, co, z2, us)).max() >= 2.0)
-            level, t = st.level.copy(), st.t.copy()
+            z = draws.next(n)
+            draws.taken = []
+            on_line, rel0, level, t = st.on_line, st.rel, st.level.copy(), st.t.copy()
             try:
-                eids, dirs = _advance(st, co, z1, z2, us, ub, uc)
+                eids, dirs = _advance(st, co, z, draws)
+                error = False
             except NumericalError:
-                assert too_far
+                error = True
+            # the guard fires exactly when a step would carry the height two
+            # levels away from its anchor line; line departures take the
+            # first uniforms of the step
+            u_side = draws.taken[0] if on_line.any() else np.empty(0)
+            too_far = bool(np.abs(_proposed_offsets(on_line, rel0, co, z, u_side)).max() >= 2.0)
+            assert error == too_far
+            if error:
                 return
-            assert not too_far
             assert np.all(np.abs(st.rel) < 1.0)
-            assert np.all(st.rel[st.on_line] == 0.0) and np.all(st.side[st.on_line] == 0)
+            assert np.all(st.rel[st.on_line] == 0.0) and np.all(st.side == np.sign(st.rel))
+            if planar:
+                child = st.child[st.side > 0]
+                assert np.all((child >= 0) & (child < params.p))
             assert np.all(np.abs(dirs) == 1)
             moved = st.level - level
             assert np.array_equal(moved[eids], dirs)
@@ -228,12 +274,23 @@ class TestFirstExit:
         p1, p2 = np.mean(fe.side == 1), np.mean(side == 1)
         assert abs(p1 - p2) <= 3 * math.sqrt(0.5 * 2 / n)
 
-    def test_up_exits_choose_uniform_children(self):
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_up_exits_choose_uniform_children(self, p):
         n = 4000
-        fe = first_exit_batch(BASE, n, RngStream(5, 0).generator(), dt=5e-4)
+        fe = first_exit_batch(ModelParams(2.0, p, 1.0, 0.5), n, RngStream(5, p - 2).generator(), dt=5e-4)
         up = fe.side == 1
-        frac0 = np.mean(fe.child[up] == 0)
-        assert abs(frac0 - 0.5) <= 3 * math.sqrt(0.25 / up.sum())
+        share = np.bincount(fe.child[up], minlength=p) / up.sum()
+        assert share.size == p
+        assert np.all(np.abs(share - 1.0 / p) <= 3 * math.sqrt((1.0 / p) * (1 - 1.0 / p) / up.sum()))
+
+    def test_exit_abscissa_law_does_not_depend_on_tracking_the_maximum(self):
+        # per-step abscissa normals (track_max) against one per observation
+        n = 4000
+        a = first_exit_batch(BASE, n, RngStream(19, 0).generator(), dt=5e-4)
+        b = first_exit_batch(BASE, n, RngStream(19, 1).generator(), dt=5e-4, track_max=True)
+        # 1.73 sqrt(2/n) is the 0.5% two-sample critical value
+        assert ks_two_sample(a.x, b.x).statistic < 1.73 * math.sqrt(2.0 / n)
+        assert np.all(b.max_abs_dx >= np.abs(b.x))
 
     def test_interior_start_validation(self):
         with pytest.raises(ValueError):
@@ -262,17 +319,41 @@ class TestFirstExit:
 class TestHorizonRuns:
     def test_height_marginal_without_lines(self):
         # p = 1, beta = 1: the line condition is invisible, so the height is
-        # a plain drifted Brownian motion
+        # a plain drifted Brownian motion; the scheme's bias is O(sqrt dt)
         m = ModelParams(2.0, 1, 0.0, 1.0)
-        t = 1.0
-        run = run_batch(m, SimConfig(dt=1e-3, horizon=t), 4000, RngStream(8).generator())
+        t, dt = 1.0, 1e-3
+        run = run_batch(m, SimConfig(dt=dt, horizon=t), 16000, RngStream(8).generator())
         mean_target = (1.0 - m.alpha) / m.log_q * t
         var_target = 2.0 / m.log_q**2 * t
         y = run.y
         se_mean = math.sqrt(var_target / y.size)
-        assert abs(y.mean() - mean_target) <= 3 * se_mean + 0.05
+        assert abs(y.mean() - mean_target) <= 3 * se_mean + math.sqrt(dt)
         se_var = var_target * math.sqrt(2.0 / y.size)
         assert abs(y.var(ddof=1) - var_target) <= 3 * se_var + 0.1
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_abscissa_second_moment_without_lines(self, alpha):
+        # p = 1, beta = 1: with Y a drifted Brownian motion,
+        # E x_t^2 = 2 int_0^t E q^(2 Y_s) ds = 2 (e^(c t) - 1)/c, c = 2 log q mu + 4
+        m = ModelParams(2.0, 1, alpha, 1.0)
+        n, cp, horizon = 40000, 0.125, 0.25
+        run = run_batch(
+            m, SimConfig(dt=1e-3, horizon=horizon), n, RngStream(20, int(alpha)).generator(),
+            checkpoints=[cp],
+        )
+        mu = (1.0 - alpha) / m.log_q
+        c = 2.0 * m.log_q * mu + 4.0
+
+        def second_moment(t):
+            return 2.0 * (np.exp(c * t) - 1.0) / c
+
+        x_cp = run.checkpoint_x[:, 0]
+        for sample, target in (
+            (x_cp**2, second_moment(cp)),
+            (run.x**2, second_moment(run.t).mean()),
+            ((run.x - x_cp) ** 2, (second_moment(run.t) - second_moment(cp)).mean()),
+        ):
+            assert abs(sample.mean() - target) <= 4 * sample.std() / math.sqrt(n)
 
     def test_event_clock_increments_match_sojourn_law(self):
         run = run_batch(
@@ -310,6 +391,26 @@ class TestHorizonRuns:
         points = final_tree_points(run)
         for i, w in enumerate(points):
             assert w.hor == pytest.approx(run.y[i])
+
+    def test_checkpoint_tree_points(self):
+        dt = 5e-4
+        run = run_batch(
+            DRIFTED, SimConfig(dt=dt, horizon=2.0), 100, RngStream(22).generator(),
+            checkpoints=[1.0, 2.0],
+        )
+        cs = run.checkpoint_state
+        t_cp = cs["t"][:, 0]
+        assert (t_cp >= 1.0).all() and (t_cp < 1.0 + dt).all()
+        # oracle: replay each path's events up to its checkpoint clock
+        for i, w in enumerate(final_tree_points(run, checkpoint=0)):
+            sel = (run.ev_path == i) & (run.ev_time <= t_cp[i])
+            anchor = rebuild_vertices(2, run.ev_dir[sel], run.ev_child[sel])[-1]
+            rel = float(cs["rel"][i, 0])
+            assert w == _tree_point(anchor, int(cs["side"][i, 0]), int(cs["child"][i, 0]), rel)
+            assert w.hor == pytest.approx(cs["level"][i, 0] + rel)
+        # a checkpoint at the horizon is the final state
+        assert final_tree_points(run, checkpoint=1) == final_tree_points(run)
+        assert (run.checkpoint_x[:, 1] == run.x).all()
 
     def test_replay_rejects_events_out_of_time_order(self):
         run = run_batch(DRIFTED, SimConfig(dt=5e-4, horizon=2.0), 20, RngStream(18).generator())
