@@ -2,7 +2,8 @@
 CLI (`treebolic verify`) and from the test suite.
 
 Each criterion returns a result object with one detail line per sub-check.
-The heavyweight Monte Carlo runs are cached and shared between criteria.
+The heavyweight Monte Carlo runs are cached properties shared between
+criteria.
 All randomness is derived from one master seed, so the suite is a
 deterministic program: rerunning it reproduces every number.
 
@@ -12,6 +13,7 @@ tolerances by sqrt(10); exact checks keep their tolerances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,7 +88,6 @@ class AcceptanceSuite:
         self.scale = 10 if quick else 1
         self.ks_widen = math.sqrt(self.scale)
         self.seed = seed
-        self._cache: dict = {}
 
     # -- infrastructure ----------------------------------------------------
 
@@ -96,53 +97,37 @@ class AcceptanceSuite:
     def _n(self, full: int) -> int:
         return max(50, full // self.scale)
 
-    def _cached(self, key, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
     # -- shared simulation products ----------------------------------------
 
     def _horizon(self, params: ModelParams, multiples: int = 200) -> float:
         return multiples * cf.exp_tau(params)
 
+    @functools.cached_property
     def drifted_run(self):
-        def build():
-            t = self._horizon(DRIFTED)
-            run = run_batch(
-                DRIFTED,
-                SimConfig(dt=DT, horizon=t),
-                self._n(2000),
-                self._rng(4),
-                checkpoints=[t / 2.0],
-            )
-            points = final_tree_points(run)
-            dists = np.array(
-                [distance_to_origin(DRIFTED, x, w) for x, w in zip(run.x, points)]
-            )
-            return run, points, dists
+        t = self._horizon(DRIFTED)
+        run = run_batch(
+            DRIFTED,
+            SimConfig(dt=DT, horizon=t),
+            self._n(2000),
+            self._rng(4),
+            checkpoints=[t / 2.0],
+        )
+        return (run, *_points_and_distances(DRIFTED, run))
 
-        return self._cached("drifted", build)
-
+    @functools.cached_property
     def driftfree_run(self):
-        def build():
-            t = self._horizon(DRIFT_FREE)
-            cps = [t / 4.0, t / 2.0, 3.0 * t / 4.0]
-            run = run_batch(
-                DRIFT_FREE,
-                SimConfig(dt=DT, horizon=t),
-                self._n(2000),
-                self._rng(5),
-                checkpoints=cps,
-            )
-            points = final_tree_points(run)
-            dists = np.array(
-                [distance_to_origin(DRIFT_FREE, x, w) for x, w in zip(run.x, points)]
-            )
-            return run, points, dists
+        t = self._horizon(DRIFT_FREE)
+        cps = [t / 4.0, t / 2.0, 3.0 * t / 4.0]
+        run = run_batch(
+            DRIFT_FREE,
+            SimConfig(dt=DT, horizon=t),
+            self._n(2000),
+            self._rng(5),
+            checkpoints=cps,
+        )
+        return (run, *_points_and_distances(DRIFT_FREE, run))
 
-        return self._cached("driftfree", build)
-
+    @functools.cached_property
     def driftfree_long_run(self):
         """Long-horizon drift-free run for the limit-law comparison.
 
@@ -152,39 +137,23 @@ class AcceptanceSuite:
         (measured offset ~ -0.39 at t = 200 mean sojourns, scaling as
         1/sqrt(t)).  A coarser step keeps the run affordable; the sojourn
         bias at dt = 2e-3 is ~1%, an order below the residual offset."""
-
-        def build():
-            t = self._horizon(DRIFT_FREE, multiples=1200 if self.quick else 4800)
-            run = run_batch(
-                DRIFT_FREE,
-                SimConfig(dt=2e-3, horizon=t),
-                self._n(2000),
-                self._rng(16),
-            )
-            points = final_tree_points(run)
-            dists = np.array(
-                [distance_to_origin(DRIFT_FREE, x, w) for x, w in zip(run.x, points)]
-            )
-            return run, dists
-
-        return self._cached("driftfree_long", build)
-
-    def downward_run(self):
-        def build():
-            t = self._horizon(DOWNWARD, multiples=50)
-            return run_batch(
-                DOWNWARD, SimConfig(dt=DT, horizon=t), self._n(2000), self._rng(6)
-            )
-
-        return self._cached("downward", build)
-
-    def exit_run(self) -> analysis.ExitMeasure:
-        return self._cached(
-            "exit",
-            lambda: analysis.sample_exit_measure(
-                EXIT_PARAMS, self._n(100_000), self._rng(7), dt=DT
-            ),
+        t = self._horizon(DRIFT_FREE, multiples=1200 if self.quick else 4800)
+        run = run_batch(
+            DRIFT_FREE,
+            SimConfig(dt=2e-3, horizon=t),
+            self._n(2000),
+            self._rng(16),
         )
+        return run, _points_and_distances(DRIFT_FREE, run)[1]
+
+    @functools.cached_property
+    def downward_run(self):
+        t = self._horizon(DOWNWARD, multiples=50)
+        return run_batch(DOWNWARD, SimConfig(dt=DT, horizon=t), self._n(2000), self._rng(6))
+
+    @functools.cached_property
+    def exit_run(self) -> analysis.ExitMeasure:
+        return analysis.sample_exit_measure(EXIT_PARAMS, self._n(100_000), self._rng(7), dt=DT)
 
     # -- criteria ------------------------------------------------------------
 
@@ -260,7 +229,7 @@ class AcceptanceSuite:
 
     def criterion_4(self) -> CriterionResult:
         c = _Check()
-        run, points, dists = self.drifted_run()
+        run, points, dists = self.drifted_run
         t = run.horizon
         n = self._n(200)
         ell = abs(cf.escape_rate(DRIFTED))
@@ -268,11 +237,8 @@ class AcceptanceSuite:
         # d exceeds log q |Y| by an O(1) geometric correction, which cancels
         # in the increment over the second half of the run
         t_half = float(run.checkpoint_times[0])
-        d_half = np.array([
-            distance_to_origin(DRIFTED, x, w)
-            for x, w in zip(run.checkpoint_x[:n, 0], final_tree_points(run, checkpoint=0)[:n])
-        ])
-        rate = analysis.estimate_escape_rate(dists[:n] - d_half, t - t_half)
+        d_half = _points_and_distances(DRIFTED, run, checkpoint=0)[1]
+        rate = analysis.estimate_escape_rate(dists[:n] - d_half[:n], t - t_half)
         c.expect(
             abs(rate.mean - ell) <= tol * ell,
             f"distance rate over [T/2, T] {rate.mean:.4f} within {tol:.0%} of {ell:.5f}",
@@ -297,8 +263,8 @@ class AcceptanceSuite:
         c = _Check()
         thr = 0.05 * self.ks_widen
         for label, bundle, m in (
-            ("drifted", self.drifted_run(), DRIFTED),
-            ("drift-free", self.driftfree_run(), DRIFT_FREE),
+            ("drifted", self.drifted_run, DRIFTED),
+            ("drift-free", self.driftfree_run, DRIFT_FREE),
         ):
             run = bundle[0]
             ks = analysis.vertical_clt(m, run.y, run.horizon).statistic
@@ -307,7 +273,7 @@ class AcceptanceSuite:
 
     def criterion_6(self) -> CriterionResult:
         c = _Check()
-        run, _, dists = self.drifted_run()
+        run, _, dists = self.drifted_run
         t = run.horizon
         ks = analysis.distance_clt(DRIFTED, dists, t).statistic
         thr = 0.07 * self.ks_widen
@@ -328,15 +294,14 @@ class AcceptanceSuite:
         run4 = run_batch(
             DRIFTED, SimConfig(dt=1e-3, horizon=t4), self._n(1000), self._rng(17)
         )
-        pts4 = final_tree_points(run4)
-        d4 = [distance_to_origin(DRIFTED, x, w) for x, w in zip(run4.x, pts4)]
+        d4 = _points_and_distances(DRIFTED, run4)[1]
         ks4 = analysis.distance_clt(DRIFTED, d4, t4).statistic
         c.note(f"same statistic at t = {t4:.0f} (4x horizon): KS = {ks4:.4f}")
         return c.result(6, "distance central limit theorem with drift")
 
     def criterion_7(self) -> CriterionResult:
         c = _Check()
-        run, dists = self.driftfree_long_run()
+        run, dists = self.driftfree_long_run
         n = self._n(10_000)
         limit, tops = analysis.draw_limit_samples(
             DRIFT_FREE, n, self._rng(10), grid_n=16384, return_max=True
@@ -458,7 +423,7 @@ class AcceptanceSuite:
 
     def criterion_10(self) -> CriterionResult:
         c = _Check()
-        em = self.exit_run()
+        em = self.exit_run
         n = em.n
         masses, expected = em.line_masses(), em.expected_masses()
         ok = all(
@@ -508,7 +473,7 @@ class AcceptanceSuite:
     def criterion_11(self) -> CriterionResult:
         c = _Check()
         # upward regime: cone masses against the absorbing-chain oracle
-        run, points, _ = self.drifted_run()
+        run, points, _ = self.drifted_run
         n = run.n_paths
         root = TreeVertex.root(2)
         children = root.successors()
@@ -533,7 +498,7 @@ class AcceptanceSuite:
         # downward regime: final abscissae against the affine-series oracle
         # (the path-sample count is pinned; the oracle side is drawn larger
         # to keep the comparison's own noise floor well inside the gate)
-        down = self.downward_run()
+        down = self.downward_run
         pool = analysis.sample_exit_measure(
             DOWNWARD, self._n(40_000), self._rng(14), dt=DT
         )
@@ -545,7 +510,7 @@ class AcceptanceSuite:
         c.expect(ks <= thr, f"downward: KS(final abscissa, series oracle) = {ks:.4f} <= {thr:.4f}")
 
         # critical regime: diagnostics only
-        free_run = self.driftfree_run()[0]
+        free_run = self.driftfree_run[0]
         cp_x = np.column_stack([free_run.checkpoint_x, free_run.x])
         cp_t = np.append(free_run.checkpoint_times, free_run.horizon)
         diag = analysis.critical_diagnostics(cp_t, cp_x, free_run.zero_visits)
@@ -562,6 +527,14 @@ class AcceptanceSuite:
 
     def run_all(self) -> list[CriterionResult]:
         return [getattr(self, f"criterion_{i}")() for i in range(1, 12)]
+
+
+def _points_and_distances(params: ModelParams, run, checkpoint: int | None = None):
+    """Each path's final tree position, or its position at the checkpoint of
+    that index, and its distance to the origin there."""
+    points = final_tree_points(run, checkpoint=checkpoint)
+    x = run.x if checkpoint is None else run.checkpoint_x[:, checkpoint]
+    return points, np.array([distance_to_origin(params, xi, w) for xi, w in zip(x, points)])
 
 
 # -- random generators for the exact-geometry checks --------------------------

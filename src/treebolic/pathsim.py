@@ -32,12 +32,15 @@ uniforms come from a shared pool, one per path on a line or near a boundary.
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`, `simulate_path`) or to each path's
 first skeleton event (`first_exit_batch`; `skeleton.sample_tau_batch` runs
-it height-only).  Tree vertices are rebuilt afterwards from the event stream.
+it height-only).  The loop returns what it kept: each path's finished state
+and, at a horizon, the event stream, the checkpoint states and the stride
+records.  Tree vertices are rebuilt afterwards from the event stream.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -114,7 +117,7 @@ class _Arrays:
     abscissa at its last observation, the variance accrued since, in units
     of 2 dt q**(2 level), and optionally the running max of |x - x0|."""
 
-    __slots__ = ("level", "rel", "t", "on_line", "side", "child", "n_events", "x", "xvar", "xmax", "x0")
+    __slots__ = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events", "xvar", "xmax", "x0")
 
     def __init__(self, n: int, level: int, rel: float, x: float | None = None, track_max=False):
         self.level = np.full(n, level, dtype=np.int64)
@@ -169,27 +172,12 @@ class _DrawBlock:
         self.i = 0
 
 
-class _Buf:
-    """Growable flat buffer for the event stream."""
-
-    def __init__(self, dtype):
-        self.a = np.empty(1024, dtype)
-        self.n = 0
-
-    def extend(self, vals: np.ndarray) -> None:
-        m = vals.size
-        while self.n + m > self.a.size:
-            self.a = np.concatenate([self.a, np.empty(self.a.size, self.a.dtype)])
-        self.a[self.n : self.n + m] = vals
-        self.n += m
-
-    def data(self) -> np.ndarray:
-        return self.a[: self.n].copy()
-
-
 def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc=slice(None)) -> None:
     """Bring the abscissae at loc (default: all) up to their clocks: one
-    normal each, with the variance accrued since the last observation."""
+    normal each, with the variance accrued since the last observation.
+    Height-only state has no abscissae."""
+    if st.x is None:
+        return
     sd = np.sqrt(st.xvar[loc]) * np.exp(0.5 * co.two_log_q * st.level[loc])
     st.x[loc] += co.x_scale * sd * rng.standard_normal(sd.size)
     st.xvar[loc] = 0.0
@@ -287,45 +275,82 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     return event_ids, dirs
 
 
+@dataclass
+class _Kept:
+    """What `_drive` kept, per state field: each path's finished state
+    (final, (n,)) and its states at the checkpoints (checkpoints, (n, k)).
+    Horizon runs also keep the event stream, each path's events that
+    arrived at level 0 and, with a record stride, one (path id, t, x, level,
+    rel, side, child, n_events) tuple per path at the start, every
+    record_stride iterations and at the finish."""
+
+    final: dict[str, np.ndarray]
+    checkpoints: dict[str, np.ndarray]
+    ev_path: np.ndarray
+    ev_dir: np.ndarray
+    ev_child: np.ndarray
+    ev_time: np.ndarray
+    zero_visits: np.ndarray
+    records: list[tuple]
+
+
 def _drive(
+    params: ModelParams,
+    dt: float,
+    rng: np.random.Generator,
     st: _Arrays,
-    draws: _DrawBlock,
-    co: _Coeffs,
     *,
-    max_iter: int,
-    on_finish,
     horizon: float | None = None,
-    on_events=None,
-    on_checkpoints=None,
+    checkpoints=(),
     record_stride: int = 0,
-    on_record=None,
-) -> None:
-    """Step every path of st with the kernel until it finishes.
+) -> _Kept:
+    """Step every path of st with the kernel until it finishes, and return
+    what was kept (see _Kept).
 
-    With a horizon a path finishes at its first state with clock >= horizon;
-    without one, at its first skeleton event.  Hooks see the global path ids
-    g and the paths' current slots loc in st:
-
-    * on_finish(g, loc, dirs), once per path (dirs is None at a horizon);
-    * on_events(g, loc, dirs), horizon runs only, for the events of
-      unfinished paths;
-    * on_checkpoints(idx, live), horizon runs only, every iteration before
-      paths finish;
-    * on_record(g, loc) for the unfinished paths every record_stride
-      iterations.
-
-    The abscissae that on_finish and on_record read are observed first.
-    Finished paths keep stepping until the next compaction, unseen by hooks.
+    With a horizon a path finishes at its first state with clock >= horizon
+    and is kept at the first state its clock reaches each checkpoint (an
+    increasing sequence); without one, it finishes at its first skeleton
+    event.  Abscissae are observed before they are kept; records need
+    planar state.  Finished paths keep stepping until the next compaction,
+    but nothing more of them is kept.
     """
+    co, draws = _coeffs(params, dt), _DrawBlock(rng)
+    n = st.t.size
+    # the state to keep: all but the accrued variance (0 once observed) and x0
+    fields = [
+        f for f in _Arrays.__slots__ if f not in ("xvar", "x0") and getattr(st, f) is not None
+    ]
+    final = {f: np.empty(n, getattr(st, f).dtype) for f in fields}
+    cps = np.append(np.asarray(checkpoints, dtype=float), np.inf)  # inf: no checkpoint left
+    cp = {f: np.zeros((n, cps.size - 1), getattr(st, f).dtype) for f in fields}
+    cp_ptr = np.zeros(n, dtype=np.int64)
+    ev_path, ev_dir, ev_child, ev_time = array("q"), array("q"), array("h"), array("d")
+    zero_visits = np.zeros(n, dtype=np.int64)
+    records: list[tuple] = []
+    max_iter = _HARD_ITER_CAP
+    if horizon is not None:
+        max_iter = min(max_iter, int(2 * horizon / dt) + 100_000)
 
-    def finish(loc, dirs):
-        if st.x is not None:
-            _observe(st, co, draws.rng, loc)
-        on_finish(idx[loc], loc, dirs)
-        recorded[loc] = True
+    def record(loc):
+        for i in loc.tolist():
+            records.append(
+                (idx.item(i), st.t.item(i), st.x.item(i), st.level.item(i), st.rel.item(i),
+                 st.side.item(i), st.child.item(i), st.n_events.item(i))
+            )
 
-    idx = np.arange(st.t.size)
-    recorded = np.zeros(idx.size, dtype=bool)  # over current (compacted) slots
+    def finish(loc):
+        _observe(st, co, draws.rng, loc)
+        g = idx[loc]
+        for f, arr in final.items():
+            arr[g] = getattr(st, f)[loc]
+        if record_stride:
+            record(loc)
+        done[loc] = True
+
+    idx = np.arange(n)  # path id per current (compacted) slot
+    done = np.zeros(n, dtype=bool)
+    if record_stride:
+        record(idx)
     iters = 0
     while idx.size:
         iters += 1
@@ -333,30 +358,44 @@ def _drive(
             raise RuntimeError("path run exceeded its iteration budget")
         eids, dirs = _advance(st, co, draws.next(idx.size), draws)
         if eids.size:
-            live = ~recorded[eids]
+            live = ~done[eids]
             eids, dirs = eids[live], dirs[live]
-            if eids.size:
-                if horizon is None:
-                    finish(eids, dirs)
-                elif on_events is not None:
-                    on_events(idx[eids], eids, dirs)
+        if horizon is None and eids.size:
+            finish(eids)
+        elif eids.size:
+            g = idx[eids]
+            ev_path.extend(g.tolist())
+            ev_dir.extend(dirs.tolist())
+            ev_child.extend(st.child[eids].tolist())
+            ev_time.extend(st.t[eids].tolist())
+            zero_visits[g] += st.level[eids] == 0
         if horizon is not None:
-            if on_checkpoints is not None:
-                on_checkpoints(idx, ~recorded)
-            done = ~recorded & (st.t >= horizon)
-            if done.any():
-                finish(np.nonzero(done)[0], None)
+            while cps.size > 1:
+                hit = ~done & (st.t >= cps[cp_ptr[idx]])
+                if not hit.any():
+                    break
+                h = np.nonzero(hit)[0]
+                g = idx[h]
+                _observe(st, co, draws.rng, h)
+                for f, arr in cp.items():
+                    arr[g, cp_ptr[g]] = getattr(st, f)[h]
+                cp_ptr[g] += 1
+            at_horizon = ~done & (st.t >= horizon)
+            if at_horizon.any():
+                finish(np.nonzero(at_horizon)[0])
         if record_stride and iters % record_stride == 0:
-            loc = np.nonzero(~recorded)[0]
+            loc = np.nonzero(~done)[0]
             if loc.size:
                 _observe(st, co, draws.rng, loc)
-                on_record(idx[loc], loc)
-        if iters % _COMPACT_EVERY == 0 and recorded.any():
-            keep = ~recorded
+                record(loc)
+        if iters % _COMPACT_EVERY == 0 and done.any():
+            keep = ~done
             st.compress(keep)
             draws.compress(keep)
             idx = idx[keep]
-            recorded = np.zeros(idx.size, dtype=bool)
+            done = np.zeros(idx.size, dtype=bool)
+    events = np.array(ev_path, np.int64), np.array(ev_dir, np.int64), np.array(ev_child, np.int16)
+    return _Kept(final, cp, *events, np.array(ev_time), zero_visits, records)
 
 
 @dataclass
@@ -397,9 +436,6 @@ class BatchRun:
         return self.t.size
 
 
-_FINAL = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events")
-
-
 def run_batch(
     params: ModelParams,
     config: SimConfig,
@@ -411,99 +447,40 @@ def run_batch(
 ) -> BatchRun:
     """Simulate n_paths paths from a line start up to the horizon.
 
-    Every path is reported at its first state with clock >= horizon (the
-    overshoot is below one step).  Skeleton events are returned as a flat
-    stream (path id, direction, branch, clock), in per-path time order.
+    Every path starts at abscissa start_x on the line of the tree vertex
+    TreeVertex(PadicRational.zero(p), start_level) (the root at level 0),
+    and is reported at its first state with clock >= horizon (the overshoot
+    is below one step).  Skeleton events are returned as a flat stream
+    (path id, direction, branch, clock), in per-path time order.
     """
-    st = _Arrays(n_paths, start_level, 0.0, start_x)
-    return _run_to_horizon(params, config, rng, st, start_level, checkpoints)
-
-
-def _run_to_horizon(
-    params: ModelParams,
-    config: SimConfig,
-    rng: np.random.Generator,
-    st: _Arrays,
-    start_level: int,
-    checkpoints=None,
-    on_record=None,
-) -> BatchRun:
-    """Drive the planar paths of st to the horizon, keeping the event stream,
-    the states at the checkpoints and, through on_record, the states every
-    record_stride steps."""
-    n = st.t.size
-    co, draws = _coeffs(params, config.dt), _DrawBlock(rng)
-    out = _Arrays(n, start_level, 0.0, 0.0)
-    zero_visits = np.zeros(n, dtype=np.int64)
-    ev_path, ev_dir = _Buf(np.int64), _Buf(np.int64)
-    ev_child, ev_time = _Buf(np.int16), _Buf(float)
-
-    def on_events(g, loc, dirs):
-        ev_path.extend(g)
-        ev_dir.extend(dirs)
-        ev_child.extend(st.child[loc])
-        ev_time.extend(st.t[loc])
-        zero_visits[g] += st.level[loc] == 0
-
-    def on_finish(g, loc, _dirs):
-        for name in _FINAL:
-            getattr(out, name)[g] = getattr(st, name)[loc]
-
     cps = None if checkpoints is None else np.asarray(checkpoints, dtype=float)
-    on_checkpoints = None
-    if cps is not None:
-        if cps.size and (np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon):
-            raise ValueError("checkpoints must be increasing and within the horizon")
-        cp = {name: np.zeros((n, cps.size), getattr(st, name).dtype) for name in _FINAL}
     if cps is not None and cps.size:
-        cp_ptr = np.zeros(n, dtype=np.int64)
-        cps_ext = np.append(cps, np.inf)
-
-        def on_checkpoints(idx, live):
-            while True:
-                due = cps_ext[cp_ptr[idx]]
-                hit = live & (st.t >= due)
-                if not hit.any():
-                    return
-                h = np.nonzero(hit)[0]
-                g = idx[h]
-                _observe(st, co, draws.rng, h)
-                for name, arr in cp.items():
-                    arr[g, cp_ptr[g]] = getattr(st, name)[h]
-                cp_ptr[g] += 1
-
-    _drive(
-        st,
-        draws,
-        co,
-        max_iter=min(_HARD_ITER_CAP, int(2 * config.horizon / config.dt) + 100_000),
-        on_finish=on_finish,
-        horizon=config.horizon,
-        on_events=on_events,
-        on_checkpoints=on_checkpoints,
-        record_stride=config.record_stride if on_record is not None else 0,
-        on_record=on_record,
+        if np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon:
+            raise ValueError("checkpoints must be increasing and within the horizon")
+    st = _Arrays(n_paths, start_level, 0.0, start_x)
+    kept = _drive(
+        params, config.dt, rng, st, horizon=config.horizon, checkpoints=() if cps is None else cps
     )
     return BatchRun(
         params=params,
         dt=config.dt,
         horizon=config.horizon,
         start_level=start_level,
-        t=out.t,
-        x=out.x,
-        level=out.level,
-        rel=out.rel,
-        on_line=out.on_line,
-        side=out.side,
-        child=out.child,
-        n_events=out.n_events,
-        zero_visits=zero_visits,
-        ev_path=ev_path.data(),
-        ev_dir=ev_dir.data(),
-        ev_child=ev_child.data(),
-        ev_time=ev_time.data(),
+        t=kept.final["t"],
+        x=kept.final["x"],
+        level=kept.final["level"],
+        rel=kept.final["rel"],
+        on_line=kept.final["on_line"],
+        side=kept.final["side"],
+        child=kept.final["child"],
+        n_events=kept.final["n_events"],
+        zero_visits=kept.zero_visits,
+        ev_path=kept.ev_path,
+        ev_dir=kept.ev_dir,
+        ev_child=kept.ev_child,
+        ev_time=kept.ev_time,
         checkpoint_times=cps,
-        checkpoint_state=cp if cps is not None else None,
+        checkpoint_state=None if cps is None else kept.checkpoints,
     )
 
 
@@ -539,36 +516,10 @@ def first_exit_batch(
     if not -1.0 < start_rel <= 0.0:
         raise ValueError("start_rel must lie in (-1, 0]")
     st = _Arrays(n, start_level, start_rel, start_x, track_max=track_max)
-    return FirstExit(*_first_events(params, dt, rng, st))
-
-
-def _first_events(params: ModelParams, dt: float, rng: np.random.Generator, st: _Arrays):
-    """Drive the paths of st to their first skeleton event.
-
-    Returns per path the event's clock and direction, then the branch, the
-    abscissa and the running maximum of |x - x0| at the event; the last
-    three are None where st does not carry them (height-only state, or no
-    tracked maximum).
-    """
-    n = st.t.size
-    planar = st.x is not None
-    tau = np.empty(n)
-    side = np.empty(n, dtype=np.int8)
-    child = np.empty(n, dtype=np.int16) if planar else None
-    x = np.empty(n) if planar else None
-    xmax = np.empty(n) if st.xmax is not None else None
-
-    def on_finish(g, loc, dirs):
-        tau[g] = st.t[loc]
-        side[g] = dirs
-        if planar:
-            child[g] = st.child[loc]
-            x[g] = st.x[loc]
-            if xmax is not None:
-                xmax[g] = st.xmax[loc]
-
-    _drive(st, _DrawBlock(rng), _coeffs(params, dt), max_iter=_HARD_ITER_CAP, on_finish=on_finish)
-    return tau, side, child, x, xmax
+    final = _drive(params, dt, rng, st).final
+    # a path's only event is its first: its direction is the change of level
+    side = (final["level"] - start_level).astype(np.int8)
+    return FirstExit(final["t"], side, final["child"], final["x"], final.get("xmax"))
 
 
 def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> list[TreeVertex]:
@@ -624,13 +575,11 @@ def _tree_point(anchor: TreeVertex, side: int, child: int, rel: float) -> TreePo
     return TreePoint(anchor, 1.0 + rel)
 
 
-def final_tree_points(
-    run: BatchRun, start: TreeVertex | None = None, checkpoint: int | None = None
-) -> list[TreePoint]:
-    """Replay the event stream and return each path's final tree position, or
-    its position at the checkpoint of that index."""
-    p = run.params.p
-    base = start if start is not None else TreeVertex.root(p)
+def final_tree_points(run: BatchRun, checkpoint: int | None = None) -> list[TreePoint]:
+    """Replay the event stream from the start vertex (see run_batch) and
+    return each path's final tree position, or its position at the
+    checkpoint of that index."""
+    base = TreeVertex(PadicRational.zero(run.params.p), run.start_level)
     order, starts = _events_by_path(run)
     ends = starts[1:]
     if checkpoint is None:
@@ -662,18 +611,6 @@ class TrajectoryRecord:
     dist: float | None = None
 
 
-def _state_row(st, i) -> tuple:
-    return (
-        float(st.t[i]),
-        float(st.x[i]),
-        int(st.level[i]),
-        float(st.rel[i]),
-        int(st.side[i]),
-        int(st.child[i]),
-        int(st.n_events[i]),
-    )
-
-
 def simulate_path(
     params: ModelParams,
     config: SimConfig,
@@ -690,16 +627,12 @@ def simulate_path(
     else:
         anchor, rel = start.w.upper, 0.0 if start.w.is_vertex else start.w.offset - 1.0
     st = _Arrays(1, anchor.level, rel, 0.0 if start is None else start.x)
-    rows = [_state_row(st, 0)]
-
-    def on_record(_g, loc):
-        rows.append(_state_row(st, loc[0]))
-
-    run = _run_to_horizon(params, config, rng, st, anchor.level, on_record=on_record)
-    rows.append(_state_row(run, 0))
-    anchors = rebuild_vertices(params.p, run.ev_dir, run.ev_child, anchor)
+    kept = _drive(
+        params, config.dt, rng, st, horizon=config.horizon, record_stride=config.record_stride
+    )
+    anchors = rebuild_vertices(params.p, kept.ev_dir, kept.ev_child, anchor)
     records = []
-    for t, x, level, rel, side, child, k in rows:
+    for _, t, x, level, rel, side, child, k in kept.records:
         w = _tree_point(anchors[k], side, child, rel)
         d = distance_to_origin(params, x, w) if with_distance else None
         records.append(TrajectoryRecord(t, x, level + rel, w.upper, k, d))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import ModelParams, prob_up
-from .pathsim import _Arrays, _first_events
+from .pathsim import _Arrays, _drive
 from .tree import TreeVertex
 
 
@@ -68,15 +68,6 @@ def step_vertex(
     raise ValueError("side must be +1 or -1")
 
 
-def _sojourns(params: ModelParams, n: int, rng: np.random.Generator, dt: float, y0: float):
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
-    if not -1.0 < y0 < 1.0:
-        raise ValueError("start must lie in (-1, 1)")
-    tau, side, *_ = _first_events(params, dt, rng, _Arrays(n, 0, y0))
-    return tau, side
-
-
 def sample_tau_batch(
     params: ModelParams,
     n: int,
@@ -92,14 +83,20 @@ def sample_tau_batch(
     line at 0 on the way out.  Raises pathsim.NumericalError if dt lets a
     step move the height by two levels.
     """
-    return _sojourns(params, n, rng, dt, y0)
+    if dt <= 0:
+        raise ValueError("dt must be > 0")
+    if not -1.0 < y0 < 1.0:
+        raise ValueError("start must lie in (-1, 1)")
+    final = _drive(params, dt, rng, _Arrays(n, 0, y0)).final
+    # a path's only event is its first: its direction is the change of level
+    return final["t"], final["level"].astype(np.int8)
 
 
 def sample_tau(
     params: ModelParams, rng: np.random.Generator, dt: float = 1e-4, y0: float = 0.0
 ) -> tuple[float, int]:
     """One (sojourn time, side) draw; see sample_tau_batch."""
-    t, s = _sojourns(params, 1, rng, dt, y0)
+    t, s = sample_tau_batch(params, 1, rng, dt, y0)
     return float(t[0]), int(s[0])
 
 
@@ -119,7 +116,7 @@ def run_skeleton(
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
     vertex = start if start is not None else TreeVertex.root(params.p)
-    taus, _ = _sojourns(params, n_steps, rng, dt, 0.0)
+    taus, _ = sample_tau_batch(params, n_steps, rng, dt)
     up = rng.random(n_steps) < prob_up(params)
     branch = rng.integers(params.p, size=n_steps)
 

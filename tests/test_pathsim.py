@@ -18,6 +18,7 @@ from treebolic.pathsim import (
     _final_vertex,
     _observe,
     _tree_point,
+    distance_to_origin,
     final_tree_points,
     first_exit_batch,
     rebuild_vertices,
@@ -392,6 +393,18 @@ class TestHorizonRuns:
         for i, w in enumerate(points):
             assert w.hor == pytest.approx(run.y[i])
 
+    def test_final_tree_points_from_the_start_level(self):
+        run = run_batch(
+            DRIFTED, SimConfig(dt=1e-3, horizon=0.5), 5, np.random.default_rng(1), start_level=2
+        )
+        start = TreeVertex(PadicRational.zero(2), 2)
+        for i, w in enumerate(final_tree_points(run)):
+            assert w.hor == pytest.approx(run.y[i])
+            sel = run.ev_path == i
+            anchor = rebuild_vertices(2, run.ev_dir[sel], run.ev_child[sel], start)[-1]
+            assert anchor.level == run.level[i]
+            assert w == _tree_point(anchor, int(run.side[i]), int(run.child[i]), float(run.rel[i]))
+
     def test_checkpoint_tree_points(self):
         dt = 5e-4
         run = run_batch(
@@ -460,6 +473,21 @@ class TestTrajectories:
         recs = simulate_path(BASE, cfg, RngStream(16).generator(), with_distance=True)
         assert recs[0].dist == 0.0
         assert all(r.dist >= 0.0 for r in recs)
+
+    def test_trajectory_end_matches_a_one_path_batch(self):
+        # with no record inside the run, simulate_path draws what a one-path
+        # run_batch draws, so its vertex replay and the batch's integer
+        # replay must end at the same point
+        m = ModelParams(2.0, 3, 0.5, 1.0)
+        dt, horizon = 1e-3, 3.0
+        cfg = SimConfig(dt=dt, horizon=horizon, record_stride=10 * round(horizon / dt))
+        last = simulate_path(m, cfg, RngStream(5).generator(), with_distance=True)[-1]
+        run = run_batch(m, SimConfig(dt=dt, horizon=horizon), 1, RngStream(5).generator())
+        w = final_tree_points(run)[0]
+        assert last.n_events == run.n_events[0] > 10
+        assert (last.t, last.x, last.y) == (run.t[0], run.x[0], run.y[0])
+        assert last.vertex == w.upper
+        assert last.dist == distance_to_origin(m, run.x[0], w)
 
     def test_custom_start(self):
         start = HTPoint(2.0, TreePoint(ROOT.successors()[1], 0.5))
