@@ -546,7 +546,7 @@ def _random_vertex(p: int, rng: np.random.Generator, steps: int = 6) -> TreeVert
         if rng.random() < 0.4:
             v = v.predecessor()
         else:
-            v = v.successors()[int(rng.integers(p))]
+            v = v.successor(rng.integers(p))
     return v
 
 

@@ -194,13 +194,6 @@ def draw_limit_samples(
     return (out, mtop) if return_max else out
 
 
-def drift_free_limit_sampler(
-    params: ModelParams, rng: np.random.Generator, grid_n: int = 16384
-) -> float:
-    """One draw of the drift-free limit law."""
-    return float(draw_limit_samples(params, 1, rng, grid_n)[0])
-
-
 def drift_free_clt(params: ModelParams, distances, t: float, limit_samples) -> KsResult:
     """Two-sample KS between d(X_t, origin)/sqrt(t) and limit-law draws.
     Requires drift-free parameters (closed_forms.is_critical)."""
@@ -358,14 +351,17 @@ def cone_masses(tree_points, ancestors) -> np.ndarray:
     return out
 
 
+#: Truncation of the affine series: its prefactor tolerance and term cap.
+_SERIES_TOL = 1e-8
+_SERIES_MAX_TERMS = 200_000
+
+
 def zinf_series_samples(
     exit_side,
     exit_x,
     q: float,
     n: int,
     rng: np.random.Generator,
-    tol: float = 1e-8,
-    max_terms: int = 200_000,
 ) -> np.ndarray:
     """Draws of the limit abscissa via the affine recursion
 
@@ -373,7 +369,8 @@ def zinf_series_samples(
 
     with (A, B) = (q**side, exit abscissa) resampled from an empirical
     first-exit pool.  Converges when the drift points down (mean level step
-    negative); each series is truncated once its prefactor drops below tol.
+    negative); each series is truncated once its prefactor drops below
+    _SERIES_TOL, and at most _SERIES_MAX_TERMS terms are drawn.
     """
     side = np.asarray(exit_side)
     xs = np.asarray(exit_x, dtype=float)
@@ -385,12 +382,12 @@ def zinf_series_samples(
     terms = 0
     while alive.size:
         terms += 1
-        if terms > max_terms:
+        if terms > _SERIES_MAX_TERMS:
             raise RuntimeError("series did not reach its truncation tolerance")
         pick = rng.integers(0, side.size, size=alive.size)
         z[alive] += a[alive] * xs[pick]
         a[alive] *= np.where(side[pick] > 0, q, 1.0 / q)
-        alive = alive[a[alive] > tol]
+        alive = alive[a[alive] > _SERIES_TOL]
     return z
 
 

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -82,18 +83,31 @@ def _model(args) -> ModelParams:
         raise _UsageError(f"invalid parameters: {exc}") from exc
 
 
-def _emit(args, payload: dict) -> None:
-    payload["version"] = __version__
-    text = json.dumps(payload, indent=2, sort_keys=True)
+@contextlib.contextmanager
+def _output(args):
+    """The --out file, or stdout."""
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            yield fh
     else:
-        print(text)
+        yield sys.stdout
+
+
+def _emit(args, payload: dict) -> None:
+    payload["version"] = __version__
+    with _output(args) as fh:
+        fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _horizon(args, params: ModelParams) -> float:
     return args.horizon if args.horizon is not None else 200.0 * cf.exp_tau(params)
+
+
+def _batch(args, params: ModelParams, horizon: float, checkpoints=None):
+    """The --paths paths of a report, on stream 0 of the seed."""
+    config = SimConfig(dt=args.dt, horizon=horizon)
+    rng = RngStream(args.seed, 0).generator()
+    return run_batch(params, config, args.paths, rng, checkpoints=checkpoints)
 
 
 def _params_dict(params: ModelParams) -> dict:
@@ -129,8 +143,7 @@ def _cmd_simulate(args) -> int:
                     "dist": r.dist,
                 }
             )
-    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args) as fh:
         if args.format == "csv":
             fh.write("path,t,x,Y,vertex,n_t,dist\n")
             for row in rows:
@@ -142,16 +155,12 @@ def _cmd_simulate(args) -> int:
         else:
             for row in rows:
                 fh.write(json.dumps(row, sort_keys=True) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
 def _cmd_skeleton(args) -> int:
     params = _model(args)
-    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
-    try:
+    with _output(args) as fh:
         for path_id in range(args.paths):
             rng = RngStream(args.seed, path_id).generator()
             states = run_skeleton(params, args.steps, rng, dt=args.dt)
@@ -169,21 +178,13 @@ def _cmd_skeleton(args) -> int:
                     )
                     + "\n"
                 )
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     return 0
 
 
 def _cmd_escape(args) -> int:
     params = _model(args)
     horizon = _horizon(args, params)
-    run = run_batch(
-        params,
-        SimConfig(dt=args.dt, horizon=horizon),
-        args.paths,
-        RngStream(args.seed, 0).generator(),
-    )
+    run = _batch(args, params, horizon)
     points = final_tree_points(run)
     dists = np.array([distance_to_origin(params, x, w) for x, w in zip(run.x, points)])
     rate = analysis.estimate_escape_rate(dists, horizon)
@@ -209,12 +210,7 @@ def _cmd_escape(args) -> int:
 def _cmd_clt(args) -> int:
     params = _model(args)
     horizon = _horizon(args, params)
-    run = run_batch(
-        params,
-        SimConfig(dt=args.dt, horizon=horizon),
-        args.paths,
-        RngStream(args.seed, 0).generator(),
-    )
+    run = _batch(args, params, horizon)
     report = {
         "seed": args.seed,
         "params": _params_dict(params),
@@ -277,7 +273,9 @@ def _cmd_boundary(args) -> int:
     params = _model(args)
     horizon = _horizon(args, params)
     regime = cf.classify_regime(params)
-    rng = RngStream(args.seed, 0).generator()
+    critical = regime is cf.Regime.CRITICAL
+    cps = [horizon / 4.0, horizon / 2.0, 3.0 * horizon / 4.0] if critical else None
+    run = _batch(args, params, horizon, cps)
     report = {
         "seed": args.seed,
         "params": _params_dict(params),
@@ -286,7 +284,6 @@ def _cmd_boundary(args) -> int:
         "regime": regime.value,
     }
     if regime is cf.Regime.UPWARD:
-        run = run_batch(params, SimConfig(dt=args.dt, horizon=horizon), args.paths, rng)
         points = final_tree_points(run)
         root = TreeVertex.root(params.p)
         children = root.successors()
@@ -296,7 +293,6 @@ def _cmd_boundary(args) -> int:
         report["level2_masses"] = analysis.cone_masses(points, grand).tolist()
         report["level2_oracle"] = analysis.cone_hitting_probability(params, 2)
     elif regime is cf.Regime.DOWNWARD:
-        run = run_batch(params, SimConfig(dt=args.dt, horizon=horizon), args.paths, rng)
         pool = analysis.sample_exit_measure(
             params, max(args.paths, 5000), RngStream(args.seed, 1).generator(), dt=args.dt
         )
@@ -306,10 +302,6 @@ def _cmd_boundary(args) -> int:
         report["ks_series"] = analysis.ks_two_sample(run.x, series).statistic
         report["x_summary"] = analysis.SampleSummary.from_samples(run.x).as_dict()
     else:
-        cps = [horizon / 4.0, horizon / 2.0, 3.0 * horizon / 4.0]
-        run = run_batch(
-            params, SimConfig(dt=args.dt, horizon=horizon), args.paths, rng, checkpoints=cps
-        )
         cp_x = np.column_stack([run.checkpoint_x, run.x])
         cp_t = np.append(run.checkpoint_times, horizon)
         report["diagnostics"] = analysis.critical_diagnostics(cp_t, cp_x, run.zero_visits)

@@ -25,9 +25,9 @@ picks the branch.
 Only the height noise is drawn on every step.  Given the height path the
 abscissa increments are independent centred Gaussians, so a path accrues
 their variance and draws one normal when its abscissa is read (an event, a
-checkpoint, a record, the horizon, or every step when its running maximum
-is tracked): exact in law for the Euler scheme.  The side and bridge
-uniforms come from a shared pool, one per path on a line or near a boundary.
+checkpoint, a record or the horizon): exact in law for the Euler scheme.
+The side and bridge uniforms come from a shared pool, one per path on a line
+or near a boundary.
 
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`, `simulate_path`) or to each path's
@@ -114,12 +114,12 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
 class _Arrays:
     """Mutable per-path state: anchor level, offset, clock, on-line flag,
     excursion side and branch, and events so far.  Planar state adds the
-    abscissa at its last observation, the variance accrued since, in units
-    of 2 dt q**(2 level), and optionally the running max of |x - x0|."""
+    abscissa at its last observation and the variance accrued since, in
+    units of 2 dt q**(2 level)."""
 
-    __slots__ = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events", "xvar", "xmax", "x0")
+    __slots__ = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events", "xvar")
 
-    def __init__(self, n: int, level: int, rel: float, x: float | None = None, track_max=False):
+    def __init__(self, n: int, level: int, rel: float, x: float | None = None):
         self.level = np.full(n, level, dtype=np.int64)
         self.rel = np.full(n, float(rel))
         self.t = np.zeros(n)
@@ -129,8 +129,6 @@ class _Arrays:
         self.n_events = np.zeros(n, dtype=np.int64)
         self.x = None if x is None else np.full(n, float(x))
         self.xvar = None if x is None else np.zeros(n)
-        self.xmax = np.zeros(n) if track_max else None
-        self.x0 = np.full(n, float(x)) if track_max else None
 
     def compress(self, keep: np.ndarray) -> None:
         for name in self.__slots__:
@@ -172,10 +170,10 @@ class _DrawBlock:
         self.i = 0
 
 
-def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc=slice(None)) -> None:
-    """Bring the abscissae at loc (default: all) up to their clocks: one
-    normal each, with the variance accrued since the last observation.
-    Height-only state has no abscissae."""
+def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc: np.ndarray) -> None:
+    """Bring the abscissae at loc up to their clocks: one normal each, with
+    the variance accrued since the last observation.  Height-only state has
+    no abscissae."""
     if st.x is None:
         return
     sd = np.sqrt(st.xvar[loc]) * np.exp(0.5 * co.two_log_q * st.level[loc])
@@ -252,9 +250,6 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
             w[bridge_ids] *= 0.5
     if planar:
         st.xvar += w
-        if st.xmax is not None:
-            _observe(st, co, draws.rng)
-            np.maximum(st.xmax, np.abs(st.x - st.x0), out=st.xmax)
 
     st.rel = new_rel
     st.on_line = crossed
@@ -316,10 +311,8 @@ def _drive(
     """
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
     n = st.t.size
-    # the state to keep: all but the accrued variance (0 once observed) and x0
-    fields = [
-        f for f in _Arrays.__slots__ if f not in ("xvar", "x0") and getattr(st, f) is not None
-    ]
+    # the state to keep: all but the accrued variance (0 once observed)
+    fields = [f for f in _Arrays.__slots__ if f != "xvar" and getattr(st, f) is not None]
     final = {f: np.empty(n, getattr(st, f).dtype) for f in fields}
     cps = np.append(np.asarray(checkpoints, dtype=float), np.inf)  # inf: no checkpoint left
     cp = {f: np.zeros((n, cps.size - 1), getattr(st, f).dtype) for f in fields}
@@ -339,7 +332,7 @@ def _drive(
             )
 
     def finish(loc):
-        _observe(st, co, draws.rng, loc)
+        _observe(st, co, rng, loc)
         g = idx[loc]
         for f, arr in final.items():
             arr[g] = getattr(st, f)[loc]
@@ -376,7 +369,7 @@ def _drive(
                     break
                 h = np.nonzero(hit)[0]
                 g = idx[h]
-                _observe(st, co, draws.rng, h)
+                _observe(st, co, rng, h)
                 for f, arr in cp.items():
                     arr[g, cp_ptr[g]] = getattr(st, f)[h]
                 cp_ptr[g] += 1
@@ -386,7 +379,7 @@ def _drive(
         if record_stride and iters % record_stride == 0:
             loc = np.nonzero(~done)[0]
             if loc.size:
-                _observe(st, co, draws.rng, loc)
+                _observe(st, co, rng, loc)
                 record(loc)
         if iters % _COMPACT_EVERY == 0 and done.any():
             keep = ~done
@@ -493,7 +486,6 @@ class FirstExit:
     side: np.ndarray
     child: np.ndarray
     x: np.ndarray
-    max_abs_dx: np.ndarray | None = None
 
 
 def first_exit_batch(
@@ -503,23 +495,16 @@ def first_exit_batch(
     dt: float = 1e-4,
     start_level: int = 0,
     start_x: float = 0.0,
-    start_rel: float = 0.0,
-    track_max: bool = False,
 ) -> FirstExit:
-    """Run paths until their first skeleton event and record it.
-
-    From a line start this samples the one-step transition of the induced
-    walk (exit time, which neighboring line, branch, exit abscissa); from an
-    interior start (start_rel in (-1, 0)) it samples the star exit.  With
-    track_max the running maximum of |x - x0| is recorded as well.
+    """Run paths from abscissa start_x on the line at start_level until
+    their first skeleton event: samples of the one-step transition of the
+    induced walk (exit time, which neighboring line, branch, exit abscissa).
     """
-    if not -1.0 < start_rel <= 0.0:
-        raise ValueError("start_rel must lie in (-1, 0]")
-    st = _Arrays(n, start_level, start_rel, start_x, track_max=track_max)
+    st = _Arrays(n, start_level, 0.0, start_x)
     final = _drive(params, dt, rng, st).final
     # a path's only event is its first: its direction is the change of level
     side = (final["level"] - start_level).astype(np.int8)
-    return FirstExit(final["t"], side, final["child"], final["x"], final.get("xmax"))
+    return FirstExit(final["t"], side, final["child"], final["x"])
 
 
 def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> list[TreeVertex]:
@@ -528,7 +513,7 @@ def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> l
     v = start if start is not None else TreeVertex.root(p)
     out = [v]
     for d, c in zip(dirs, childs):
-        v = v.successors()[int(c)] if d > 0 else v.predecessor()
+        v = v.successor(c) if d > 0 else v.predecessor()
         out.append(v)
     return out
 
@@ -571,7 +556,7 @@ def _tree_point(anchor: TreeVertex, side: int, child: int, rel: float) -> TreePo
     if side == 0 or rel == 0.0:
         return TreePoint.at_vertex(anchor)
     if side > 0:
-        return TreePoint(anchor.successors()[int(child)], rel)
+        return TreePoint(anchor.successor(child), rel)
     return TreePoint(anchor, 1.0 + rel)
 
 
@@ -615,22 +600,17 @@ def simulate_path(
     params: ModelParams,
     config: SimConfig,
     rng: np.random.Generator,
-    start: HTPoint | None = None,
     with_distance: bool = False,
 ) -> list[TrajectoryRecord]:
-    """Simulate one path to the horizon, recording every record_stride steps
-    (plus the initial and final states).  Each record carries the upper
-    vertex of the strip the path is in, replayed from the event stream after
-    the run."""
-    if start is None:
-        anchor, rel = TreeVertex.root(params.p), 0.0
-    else:
-        anchor, rel = start.w.upper, 0.0 if start.w.is_vertex else start.w.offset - 1.0
-    st = _Arrays(1, anchor.level, rel, 0.0 if start is None else start.x)
+    """Simulate one path from the origin to the horizon, recording every
+    record_stride steps (plus the initial and final states).  Each record
+    carries the upper vertex of the strip the path is in, replayed from the
+    event stream after the run."""
+    st = _Arrays(1, 0, 0.0, 0.0)
     kept = _drive(
         params, config.dt, rng, st, horizon=config.horizon, record_stride=config.record_stride
     )
-    anchors = rebuild_vertices(params.p, kept.ev_dir, kept.ev_child, anchor)
+    anchors = rebuild_vertices(params.p, kept.ev_dir, kept.ev_child)
     records = []
     for _, t, x, level, rel, side, child, k in kept.records:
         w = _tree_point(anchors[k], side, child, rel)

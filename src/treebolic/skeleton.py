@@ -19,11 +19,12 @@ never the sampler.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .closed_forms import ModelParams, prob_up
-from .pathsim import _Arrays, _drive
+from .pathsim import _Arrays, _drive, rebuild_vertices
 from .tree import TreeVertex
 
 
@@ -64,7 +65,7 @@ def step_vertex(
     if side == -1:
         return vertex.predecessor()
     if side == 1:
-        return vertex.successors()[int(rng.integers(params.p))]
+        return vertex.successor(rng.integers(params.p))
     raise ValueError("side must be +1 or -1")
 
 
@@ -92,14 +93,6 @@ def sample_tau_batch(
     return final["t"], final["level"].astype(np.int8)
 
 
-def sample_tau(
-    params: ModelParams, rng: np.random.Generator, dt: float = 1e-4, y0: float = 0.0
-) -> tuple[float, int]:
-    """One (sojourn time, side) draw; see sample_tau_batch."""
-    t, s = sample_tau_batch(params, 1, rng, dt, y0)
-    return float(t[0]), int(s[0])
-
-
 def run_skeleton(
     params: ModelParams,
     n_steps: int,
@@ -115,18 +108,9 @@ def run_skeleton(
     """
     if n_steps < 1:
         raise ValueError("need n_steps >= 1")
-    vertex = start if start is not None else TreeVertex.root(params.p)
     taus, _ = sample_tau_batch(params, n_steps, rng, dt)
     up = rng.random(n_steps) < prob_up(params)
     branch = rng.integers(params.p, size=n_steps)
-
-    states = [SkeletonState(vertex, 0.0, 0)]
-    clock = 0.0
-    for i in range(n_steps):
-        clock += float(taus[i])
-        if up[i]:
-            vertex = vertex.successors()[int(branch[i])]
-        else:
-            vertex = vertex.predecessor()
-        states.append(SkeletonState(vertex, clock, i + 1))
-    return states
+    vertices = rebuild_vertices(params.p, np.where(up, 1, -1), branch, start)
+    clocks = accumulate(taus.tolist(), initial=0.0)
+    return [SkeletonState(v, t, i) for i, (v, t) in enumerate(zip(vertices, clocks))]

@@ -29,6 +29,8 @@ from .tree import TreePoint, TreeVertex, confluent_point, tree_distance
 DELTA = math.log(1.0 + math.sqrt(2.0))
 
 _MAX_TERNARY_ITER = 400
+#: Absolute tolerance of the crossing-abscissa search.
+_CROSSING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,7 @@ def _ternary_min(f, lo: float, hi: float, tol: float) -> float:
     return f(0.5 * (lo + hi))
 
 
-def _crossing_min(z1: complex, z2: complex, y_cross: float, tol: float) -> float:
+def _crossing_min(z1: complex, z2: complex, y_cross: float) -> float:
     """min over x of d(z1, x + i y_cross) + d(x + i y_cross, z2).
 
     Both legs decrease strictly as x approaches the nearer abscissa from
@@ -105,9 +107,9 @@ def _crossing_min(z1: complex, z2: complex, y_cross: float, tol: float) -> float
 
     x1, x2 = sorted((z1.real, z2.real))
     width = x2 - x1
-    if width <= tol:
+    if width <= _CROSSING_TOL:
         return f(0.5 * (x1 + x2))
-    xtol = max(tol, width * 1e-13)
+    xtol = max(_CROSSING_TOL, width * 1e-13)
 
     offsets = sorted({s for u in _GRID_OFFSETS for s in (u, 1.0 - u)})
     xs = [x1] + [x1 + s * width for s in offsets] + [x2]
@@ -120,21 +122,19 @@ def _crossing_min(z1: complex, z2: complex, y_cross: float, tol: float) -> float
     return best
 
 
-def ht_distance(params: HTParams, a: HTPoint, b: HTPoint, tol: float = 1e-10) -> float:
+def ht_distance(params: HTParams, a: HTPoint, b: HTPoint) -> float:
     """Geodesic distance in treebolic space.
 
     If one tree point lies on the other's ray toward the reference end the
     two points share a half-plane copy and the distance is hyperbolic;
     otherwise the path must pass through the line at the confluent's level.
     """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
     conf = confluent_point(a.w, b.w)
     z1, z2 = z_of(params, a), z_of(params, b)
     if conf == a.w or conf == b.w:
         return hyp_distance(z1, z2)
     y_cross = params.q**conf.hor
-    return _crossing_min(z1, z2, y_cross, tol)
+    return _crossing_min(z1, z2, y_cross)
 
 
 def sandwich(params: HTParams, a: HTPoint, b: HTPoint) -> tuple[float, float, float]:

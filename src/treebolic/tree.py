@@ -46,12 +46,16 @@ class TreeVertex:
     def predecessor(self) -> "TreeVertex":
         return TreeVertex(self.center, self.level - 1)
 
+    def successor(self, c: int) -> "TreeVertex":
+        """The successor in branch c: the ball around center + c p**level,
+        one level up."""
+        if not 0 <= c < self.p:
+            raise ValueError(f"branch must lie in [0, {self.p}), got {c}")
+        center = self.center + PadicRational(self.p, int(c)).shift(self.level)
+        return TreeVertex(center, self.level + 1)
+
     def successors(self) -> list["TreeVertex"]:
-        p, m = self.p, self.level
-        if p == 1:
-            return [TreeVertex(self.center, m + 1)]
-        step = PadicRational(p, 1).shift(m)
-        return [TreeVertex(self.center + step * j, m + 1) for j in range(p)]
+        return [self.successor(c) for c in range(self.p)]
 
     def __eq__(self, other):
         if not isinstance(other, TreeVertex):

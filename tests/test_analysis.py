@@ -155,10 +155,6 @@ class TestLimitSampler:
         with pytest.raises(ValueError):
             analysis.draw_limit_samples(BASE, 2, RngStream(24).generator(), grid_n=10)
 
-    def test_scalar_wrapper(self):
-        val = analysis.drift_free_limit_sampler(BASE, RngStream(25).generator(), grid_n=1024)
-        assert val >= 0.0
-
 
 class TestConeOracle:
     def test_truncation_stability(self):

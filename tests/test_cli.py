@@ -196,6 +196,18 @@ class TestAnalysisCommands:
         assert len(payload["level1_masses"]) == 2
         assert 0 < payload["level1_oracle"] < 0.5
 
+    def test_boundary_downward(self, capsys):
+        code, out = run_cli(
+            capsys,
+            "boundary", "--q", "2", "--p", "2", "--alpha", "1", "--beta", "0.25",
+            "--dt", "1e-3", "--horizon", "1.5", "--paths", "100", "--seed", "7",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["regime"] == "downward"
+        assert 0 < payload["ks_series"] < 1
+        assert payload["x_summary"]["n"] == 100
+
 
 class TestBsWord:
     def test_relation_agrees(self, capsys):

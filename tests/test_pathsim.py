@@ -121,7 +121,7 @@ class TestKernelStep:
         co = _coeffs(BASE, 1e-3)
         st = _Arrays(1, 600, -0.5, 0.0)
         st.xvar[:] = 1.0
-        _observe(st, co, _FakeRng(1.0))
+        _observe(st, co, _FakeRng(1.0), np.array([0]))
         assert st.x[0] == pytest.approx(math.sqrt(2e-3) * 2.0**600)
         fe = first_exit_batch(BASE, 16, RngStream(21).generator(), dt=1e-3, start_level=600)
         assert np.isfinite(fe.x).all()
@@ -283,38 +283,6 @@ class TestFirstExit:
         share = np.bincount(fe.child[up], minlength=p) / up.sum()
         assert share.size == p
         assert np.all(np.abs(share - 1.0 / p) <= 3 * math.sqrt((1.0 / p) * (1 - 1.0 / p) / up.sum()))
-
-    def test_exit_abscissa_law_does_not_depend_on_tracking_the_maximum(self):
-        # per-step abscissa normals (track_max) against one per observation
-        n = 4000
-        a = first_exit_batch(BASE, n, RngStream(19, 0).generator(), dt=5e-4)
-        b = first_exit_batch(BASE, n, RngStream(19, 1).generator(), dt=5e-4, track_max=True)
-        # 1.73 sqrt(2/n) is the 0.5% two-sample critical value
-        assert ks_two_sample(a.x, b.x).statistic < 1.73 * math.sqrt(2.0 / n)
-        assert np.all(b.max_abs_dx >= np.abs(b.x))
-
-    def test_interior_start_validation(self):
-        with pytest.raises(ValueError):
-            first_exit_batch(BASE, 4, RngStream(6).generator(), start_rel=0.5)
-
-    def test_sideways_tail_is_log_linear(self):
-        n = 6000
-        fe = first_exit_batch(
-            BASE, n, RngStream(7, 0).generator(), dt=5e-4, track_max=True
-        )
-        levels = np.array([1.0, 2.0, 3.0, 4.0])
-        logp = np.log([np.mean(fe.max_abs_dx >= s) for s in levels])
-        slope = np.polyfit(levels, logp, 1)[0]
-        assert slope < -0.5
-        resid = logp - np.polyval(np.polyfit(levels, logp, 1), levels)
-        assert np.abs(resid).max() < 0.35
-        # translation invariance: a shifted start gives a similar tail
-        fe2 = first_exit_batch(
-            BASE, n, RngStream(7, 1).generator(), dt=5e-4, start_x=7.0, track_max=True
-        )
-        logp2 = np.log([np.mean(fe2.max_abs_dx >= s) for s in levels])
-        slope2 = np.polyfit(levels, logp2, 1)[0]
-        assert abs(slope - slope2) < 0.35
 
 
 class TestHorizonRuns:
@@ -488,13 +456,6 @@ class TestTrajectories:
         assert (last.t, last.x, last.y) == (run.t[0], run.x[0], run.y[0])
         assert last.vertex == w.upper
         assert last.dist == distance_to_origin(m, run.x[0], w)
-
-    def test_custom_start(self):
-        start = HTPoint(2.0, TreePoint(ROOT.successors()[1], 0.5))
-        cfg = SimConfig(dt=1e-3, horizon=0.02, record_stride=5)
-        recs = simulate_path(BASE, cfg, RngStream(17).generator(), start=start)
-        assert recs[0].x == 2.0
-        assert recs[0].y == pytest.approx(0.5)
 
 
 def test_rebuild_vertices():

@@ -14,7 +14,6 @@ from treebolic.skeleton import (
     RngStream,
     SkeletonState,
     run_skeleton,
-    sample_tau,
     sample_tau_batch,
     step_side,
     step_vertex,
@@ -97,10 +96,6 @@ class TestSampleTau:
         t1, s1 = sample_tau_batch(BASE, 500, RngStream(7).generator(), dt=1e-3)
         t2, s2 = sample_tau_batch(BASE, 500, RngStream(7).generator(), dt=1e-3)
         assert (t1 == t2).all() and (s1 == s2).all()
-
-    def test_scalar_wrapper(self):
-        t, s = sample_tau(BASE, RngStream(8).generator(), dt=1e-3)
-        assert t > 0 and s in (-1, 1)
 
     def test_mean_and_sides(self):
         n = 20000

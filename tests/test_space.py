@@ -94,11 +94,6 @@ class TestDistanceCases:
                 ht_distance(GEO, a, b) + ht_distance(GEO, b, c) + 2 * tol
             )
 
-    def test_tol_validation(self):
-        a = origin(GEO)
-        with pytest.raises(ValueError):
-            ht_distance(GEO, a, a, tol=0.0)
-
 
 class TestCrossingSearch:
     def test_matches_dense_grid_oracle(self):

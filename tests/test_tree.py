@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from treebolic.padic import PadicRational
 from treebolic.tree import (
@@ -49,6 +51,11 @@ class TestStructure:
         r1 = TreeVertex.root(1)
         assert r1.successors() == [TreeVertex(PadicRational(1, 0), 1)]
         assert r1.successors()[0].predecessor() == r1
+
+    def test_successor_branch_range(self):
+        for c in (-1, 2):
+            with pytest.raises(ValueError):
+                ROOT.successor(c)
 
 
 class TestConfluent:
@@ -170,3 +177,21 @@ def test_point_offset_validation():
         TreePoint(ROOT, 0.0)
     with pytest.raises(ValueError):
         TreePoint(ROOT, 1.5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=hst.integers(1, 4),
+    level=hst.integers(-6, 6),
+    num=hst.integers(0, 10**6),
+    denom=hst.integers(0, 8),
+    c=hst.integers(0, 3),
+)
+def test_successor_is_one_of_the_successors(p, level, num, denom, c):
+    v = TreeVertex(PadicRational(p, num if p > 1 else 0, denom), level)
+    c %= p
+    kids = v.successors()
+    assert kids == [v.successor(j) for j in range(p)]
+    assert v.successor(c).predecessor() == v
+    assert tree_distance(v, v.successor(c)) == 1
+    assert len(set(kids)) == p
