@@ -70,6 +70,9 @@ def _check_flags(args) -> None:
     dt = getattr(args, "dt", None)
     if dt is not None and not 0.0 < dt <= MAX_DT:
         raise _UsageError(f"--dt must lie in (0, {MAX_DT:g}], got {dt:g}")
+    horizon = getattr(args, "horizon", None)
+    if horizon is not None and horizon < dt:
+        raise _UsageError(f"--horizon must be at least --dt ({dt:g}), got {horizon:g}")
     for name in _COUNT_FLAGS:
         value = getattr(args, name, None)
         if value is not None and value < 1:
@@ -359,7 +362,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("simulate", help="dump full trajectories")
     _add_model_flags(p)
     _add_run_flags(p, paths_default=1)
-    p.add_argument("--record-stride", type=int, default=100)
+    p.add_argument(
+        "--record-stride", type=int, default=100, metavar="N", help="a record every N*dt of simulated time"
+    )
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--no-distance", action="store_true", help="skip distance column")
     p.add_argument("--out")

@@ -25,16 +25,17 @@ picks the branch.
 Only the height noise is drawn on every step.  Given the height path the
 abscissa increments are independent centred Gaussians, so a path accrues
 their variance and draws one normal when its abscissa is read (an event, a
-checkpoint, a record or the horizon): exact in law for the Euler scheme.
+checkpoint or the horizon): exact in law for the Euler scheme.
 The side and bridge uniforms come from a shared pool, one per path on a line
 or near a boundary.
 
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
-runs it to a fixed horizon (`run_batch`, `simulate_path`) or to each path's
-first skeleton event (`first_exit_batch`; `skeleton.sample_tau_batch` runs
-it height-only).  The loop returns what it kept: each path's finished state
-and, at a horizon, the event stream, the checkpoint states and the stride
-records.  Tree vertices are rebuilt afterwards from the event stream.
+runs it to a fixed horizon (`run_batch`; `simulate_path` is a one-path run
+checkpointed every record_stride * dt) or to each path's first skeleton
+event (`first_exit_batch`; `skeleton.sample_tau_batch` runs it height-only).
+The loop returns what it kept: each path's finished state and, at a
+horizon, the event stream and the checkpoint states.  Tree vertices are
+rebuilt afterwards from the event stream.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ class SimConfig:
 
     def __post_init__(self):
         if not 0.0 < self.dt <= MAX_DT:
-            raise ValueError("dt must lie in (0, 1e-2]")
+            raise ValueError(f"dt must lie in (0, {MAX_DT:g}]")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
         if self.record_stride < 1:
@@ -274,10 +275,8 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
 class _Kept:
     """What `_drive` kept, per state field: each path's finished state
     (final, (n,)) and its states at the checkpoints (checkpoints, (n, k)).
-    Horizon runs also keep the event stream, each path's events that
-    arrived at level 0 and, with a record stride, one (path id, t, x, level,
-    rel, side, child, n_events) tuple per path at the start, every
-    record_stride iterations and at the finish."""
+    Horizon runs also keep the event stream and each path's events that
+    arrived at level 0."""
 
     final: dict[str, np.ndarray]
     checkpoints: dict[str, np.ndarray]
@@ -286,7 +285,6 @@ class _Kept:
     ev_child: np.ndarray
     ev_time: np.ndarray
     zero_visits: np.ndarray
-    records: list[tuple]
 
 
 def _drive(
@@ -297,7 +295,6 @@ def _drive(
     *,
     horizon: float | None = None,
     checkpoints=(),
-    record_stride: int = 0,
 ) -> _Kept:
     """Step every path of st with the kernel until it finishes, and return
     what was kept (see _Kept).
@@ -305,51 +302,47 @@ def _drive(
     With a horizon a path finishes at its first state with clock >= horizon
     and is kept at the first state its clock reaches each checkpoint (an
     increasing sequence); without one, it finishes at its first skeleton
-    event.  Abscissae are observed before they are kept; records need
-    planar state.  Finished paths keep stepping until the next compaction,
-    but nothing more of them is kept.
+    event.  Abscissae are observed before they are kept.  Finished paths
+    keep stepping until the next compaction, but nothing more of them is
+    kept.
     """
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT:g}]")
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
     n = st.t.size
     # the state to keep: all but the accrued variance (0 once observed)
     fields = [f for f in _Arrays.__slots__ if f != "xvar" and getattr(st, f) is not None]
     final = {f: np.empty(n, getattr(st, f).dtype) for f in fields}
     cps = np.append(np.asarray(checkpoints, dtype=float), np.inf)  # inf: no checkpoint left
-    cp = {f: np.zeros((n, cps.size - 1), getattr(st, f).dtype) for f in fields}
-    cp_ptr = np.zeros(n, dtype=np.int64)
+    k = cps.size - 1
+    cp = {f: np.zeros(n * k, getattr(st, f).dtype) for f in fields}  # path-major (n, k)
+    ptr = np.zeros(n, dtype=np.int64)  # per slot: its next checkpoint
     ev_path, ev_dir, ev_child, ev_time = array("q"), array("q"), array("h"), array("d")
     zero_visits = np.zeros(n, dtype=np.int64)
-    records: list[tuple] = []
-    max_iter = _HARD_ITER_CAP
+    # the per-path tests run only once t_top, at or above every clock (they
+    # start at 0 and a step adds at most dt), reaches t_next: the horizon or
+    # t_cp, the earliest pending checkpoint, whichever comes first
+    max_iter, t_top, t_cp, t_next = _HARD_ITER_CAP, 0.0, cps[0], math.inf
     if horizon is not None:
         max_iter = min(max_iter, int(2 * horizon / dt) + 100_000)
-
-    def record(loc):
-        for i in loc.tolist():
-            records.append(
-                (idx.item(i), st.t.item(i), st.x.item(i), st.level.item(i), st.rel.item(i),
-                 st.side.item(i), st.child.item(i), st.n_events.item(i))
-            )
+        t_next = min(horizon, t_cp)
 
     def finish(loc):
         _observe(st, co, rng, loc)
         g = idx[loc]
         for f, arr in final.items():
             arr[g] = getattr(st, f)[loc]
-        if record_stride:
-            record(loc)
         done[loc] = True
 
     idx = np.arange(n)  # path id per current (compacted) slot
     done = np.zeros(n, dtype=bool)
-    if record_stride:
-        record(idx)
     iters = 0
     while idx.size:
         iters += 1
         if iters > max_iter:
             raise RuntimeError("path run exceeded its iteration budget")
         eids, dirs = _advance(st, co, draws.next(idx.size), draws)
+        t_top += co.dt
         if eids.size:
             live = ~done[eids]
             eids, dirs = eids[live], dirs[live]
@@ -362,33 +355,30 @@ def _drive(
             ev_child.extend(st.child[eids].tolist())
             ev_time.extend(st.t[eids].tolist())
             zero_visits[g] += st.level[eids] == 0
-        if horizon is not None:
-            while cps.size > 1:
-                hit = ~done & (st.t >= cps[cp_ptr[idx]])
-                if not hit.any():
+        if t_top >= t_next:
+            t_top = st.t.max()  # the bound, made tight
+            while t_top >= t_cp:
+                h = np.nonzero(~done & (st.t >= cps[ptr]))[0]
+                if not h.size:
                     break
-                h = np.nonzero(hit)[0]
-                g = idx[h]
                 _observe(st, co, rng, h)
+                at = idx[h] * k + ptr[h]
                 for f, arr in cp.items():
-                    arr[g, cp_ptr[g]] = getattr(st, f)[h]
-                cp_ptr[g] += 1
-            at_horizon = ~done & (st.t >= horizon)
-            if at_horizon.any():
-                finish(np.nonzero(at_horizon)[0])
-        if record_stride and iters % record_stride == 0:
-            loc = np.nonzero(~done)[0]
-            if loc.size:
-                _observe(st, co, rng, loc)
-                record(loc)
+                    arr[at] = getattr(st, f)[h]
+                ptr[h] += 1
+                t_cp = cps[ptr].min()
+            if t_top >= horizon:
+                finish(np.nonzero(~done & (st.t >= horizon))[0])
+            t_next = min(horizon, t_cp)
         if iters % _COMPACT_EVERY == 0 and done.any():
             keep = ~done
             st.compress(keep)
             draws.compress(keep)
-            idx = idx[keep]
+            idx, ptr = idx[keep], ptr[keep]
             done = np.zeros(idx.size, dtype=bool)
+    cp = {f: arr.reshape(n, k) for f, arr in cp.items()}
     events = np.array(ev_path, np.int64), np.array(ev_dir, np.int64), np.array(ev_child, np.int16)
-    return _Kept(final, cp, *events, np.array(ev_time), zero_visits, records)
+    return _Kept(final, cp, *events, np.array(ev_time), zero_visits)
 
 
 @dataclass
@@ -602,17 +592,24 @@ def simulate_path(
     rng: np.random.Generator,
     with_distance: bool = False,
 ) -> list[TrajectoryRecord]:
-    """Simulate one path from the origin to the horizon, recording every
-    record_stride steps (plus the initial and final states).  Each record
-    carries the upper vertex of the strip the path is in, replayed from the
-    event stream after the run."""
+    """Simulate one path from the origin to the horizon, recorded at the
+    start, at its first state at or after each multiple of record_stride * dt
+    and at the end, each state once.  Each record carries the upper vertex of
+    the strip the path is in, replayed from the event stream after the run."""
+    step = config.record_stride * config.dt
+    cps = step * np.arange(1, int(config.horizon / step) + 2)
+    cps = cps[cps < config.horizon]
     st = _Arrays(1, 0, 0.0, 0.0)
-    kept = _drive(
-        params, config.dt, rng, st, horizon=config.horizon, record_stride=config.record_stride
-    )
+    cols = ("t", "x", "level", "rel", "side", "child", "n_events")
+    states = [tuple(getattr(st, f).item() for f in cols)]
+    kept = _drive(params, config.dt, rng, st, horizon=config.horizon, checkpoints=cps)
+    for state in zip(*(kept.checkpoints[f][0].tolist() for f in cols)):
+        if states[-1][0] < state[0] < config.horizon:
+            states.append(state)
+    states.append(tuple(kept.final[f].item() for f in cols))
     anchors = rebuild_vertices(params.p, kept.ev_dir, kept.ev_child)
     records = []
-    for _, t, x, level, rel, side, child, k in kept.records:
+    for t, x, level, rel, side, child, k in states:
         w = _tree_point(anchors[k], side, child, rel)
         d = distance_to_origin(params, x, w) if with_distance else None
         records.append(TrajectoryRecord(t, x, level + rel, w.upper, k, d))

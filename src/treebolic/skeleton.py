@@ -84,8 +84,6 @@ def sample_tau_batch(
     line at 0 on the way out.  Raises pathsim.NumericalError if dt lets a
     step move the height by two levels.
     """
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
     if not -1.0 < y0 < 1.0:
         raise ValueError("start must lie in (-1, 1)")
     final = _drive(params, dt, rng, _Arrays(n, 0, y0)).final
@@ -98,9 +96,8 @@ def run_skeleton(
     n_steps: int,
     rng: np.random.Generator,
     dt: float = 1e-4,
-    start: TreeVertex | None = None,
 ) -> list[SkeletonState]:
-    """Run the skeleton walk for n_steps line visits from a line start.
+    """Run the skeleton walk for n_steps line visits from the root.
 
     Sides and branch choices use the exact closed-form probabilities; the
     clock increments are pathwise sojourn samples, drawn independently of
@@ -111,6 +108,6 @@ def run_skeleton(
     taus, _ = sample_tau_batch(params, n_steps, rng, dt)
     up = rng.random(n_steps) < prob_up(params)
     branch = rng.integers(params.p, size=n_steps)
-    vertices = rebuild_vertices(params.p, np.where(up, 1, -1), branch, start)
+    vertices = rebuild_vertices(params.p, np.where(up, 1, -1), branch)
     clocks = accumulate(taus.tolist(), initial=0.0)
     return [SkeletonState(v, t, i) for i, (v, t) in enumerate(zip(vertices, clocks))]

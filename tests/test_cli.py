@@ -43,6 +43,8 @@ class TestFlagRanges:
             (["escape", *_MODEL, "--dt", "0.05"], "--dt"),
             (["escape", *_MODEL, "--paths", "0"], "--paths"),
             (["simulate", *_MODEL, "--record-stride", "0"], "--record-stride"),
+            (["escape", *_MODEL, "--horizon", "-1"], "--horizon"),
+            (["simulate", *_MODEL, "--horizon", "1e-5"], "--horizon"),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(self, capsys, argv, flag):

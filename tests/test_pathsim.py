@@ -15,6 +15,7 @@ from treebolic.pathsim import (
     _Arrays,
     _coeffs,
     _DrawBlock,
+    _drive,
     _final_vertex,
     _observe,
     _tree_point,
@@ -85,6 +86,12 @@ class TestConfig:
             SimConfig(dt=1e-3, horizon=1e-4)
         with pytest.raises(ValueError):
             SimConfig(record_stride=0)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, 0.05])
+    @pytest.mark.parametrize("sampler", [first_exit_batch, sample_tau_batch])
+    def test_samplers_check_the_step_size(self, sampler, dt):
+        with pytest.raises(ValueError, match="dt must lie in"):
+            sampler(BASE, 4, RngStream(1).generator(), dt=dt)
 
 
 def _one_step(params, dt, rng, rel=0.0, x=0.0):
@@ -239,6 +246,33 @@ class TestKernelProperties:
         horizon = steps * dt
         run = run_batch(params, SimConfig(dt=dt, horizon=horizon), 8, np.random.default_rng(seed))
         assert np.all(run.t >= horizon) and np.all(run.t < horizon + dt)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        dt=hst.floats(1e-4, 1e-2),
+        steps=hst.integers(1, 200),
+        grid=hst.one_of(
+            # multiples of a spacing of stride * dt, as simulate_path sets them
+            hst.tuples(hst.just("grid"), hst.sampled_from([1 / 3, 1.0, 2.0, 3.0])),
+            hst.tuples(hst.just("random"), hst.lists(hst.floats(0.0, 1.0), max_size=40, unique=True)),
+        ),
+        planar=hst.booleans(),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_checkpoint_states_are_the_first_at_or_after(self, dt, steps, grid, planar, seed):
+        horizon = steps * dt
+        kind, value = grid
+        if kind == "grid":
+            cps = value * dt * np.arange(1, int(horizon / (value * dt)) + 2)
+            cps = cps[cps <= horizon]
+        else:
+            cps = np.unique(np.asarray(value, dtype=float) * horizon)
+        st = _Arrays(6, 0, 0.0, 0.0 if planar else None)
+        t = _drive(DRIFTED, dt, np.random.default_rng(seed), st, horizon=horizon, checkpoints=cps).checkpoints["t"]
+        # a step adds at most dt: the first clock at or after cp is at most
+        # cp + dt, which it reaches only by rounding
+        assert np.all(t >= cps) and np.all(t <= cps + dt)
+        assert np.all(np.diff(t, axis=1) >= 0)
 
 
 class TestSymmetries:
@@ -441,6 +475,43 @@ class TestTrajectories:
         recs = simulate_path(BASE, cfg, RngStream(16).generator(), with_distance=True)
         assert recs[0].dist == 0.0
         assert all(r.dist >= 0.0 for r in recs)
+
+    @pytest.mark.parametrize(
+        "dt, horizon, stride, seed, dropped",
+        [
+            (1e-4, 0.3, 2, 1, 0),  # a horizon that is a multiple of stride * dt
+            (7e-4, 0.5, 1, 0, 1),  # the last checkpoint state is the final state
+            (7e-4, 0.5, 1, 15, 1),  # one step reaches two checkpoints, by rounding
+            (1e-4, 0.3, 1, 16, 2),
+        ],
+    )
+    def test_records_are_the_checkpoint_states_of_a_one_path_batch(self, dt, horizon, stride, seed, dropped):
+        cfg = SimConfig(dt=dt, horizon=horizon, record_stride=stride)
+        recs = simulate_path(DRIFTED, cfg, RngStream(seed).generator())
+        step = stride * dt
+        cps = step * np.arange(1, int(horizon / step) + 2)
+        cps = cps[cps < horizon]
+        run = run_batch(
+            DRIFTED, SimConfig(dt=dt, horizon=horizon), 1, RngStream(seed).generator(), checkpoints=cps
+        )
+        cs = {f: a[0] for f, a in run.checkpoint_state.items()}
+        ts = [r.t for r in recs]
+        assert ts[0] == 0.0 and recs[0].vertex == ROOT
+        assert all(b > a for a, b in zip(ts, ts[1:]))
+        # the start, each distinct checkpoint state before the horizon, the end
+        assert len(recs) == cps.size + 2 - dropped
+        assert ts[1:-1] == sorted(set(cs["t"][cs["t"] < horizon].tolist()))
+        if not dropped:
+            k = np.arange(1, cps.size + 1)
+            inner = np.array(ts[1:-1])
+            assert np.all((inner >= k * step) & (inner < k * step + dt))
+        for r in recs[1:-1]:
+            j = int(np.searchsorted(cs["t"], r.t))
+            assert (r.x, r.y, r.n_events) == (cs["x"][j], cs["level"][j] + cs["rel"][j], cs["n_events"][j])
+            assert r.vertex == final_tree_points(run, checkpoint=j)[0].upper
+        end = recs[-1]
+        assert (end.t, end.x, end.y, end.n_events) == (run.t[0], run.x[0], run.y[0], run.n_events[0])
+        assert end.vertex == final_tree_points(run)[0].upper
 
     def test_trajectory_end_matches_a_one_path_batch(self):
         # with no record inside the run, simulate_path draws what a one-path
