@@ -5,8 +5,8 @@ boundary | bs-word | verify.  Reports are JSON on stdout (or --out); path
 dumps are CSV or JSONL.  Output is a pure function of the flags: the master
 seed is part of every report, and rerunning a command reproduces its bytes.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure, 3 acceptance
-failure.
+Exit codes: 0 success (also when the reader of stdout closes it early),
+1 usage error, 2 numerical failure, 3 acceptance failure.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 
 import numpy as np
@@ -166,7 +167,7 @@ def _cmd_skeleton(args) -> int:
     with _output(args) as fh:
         for path_id in range(args.paths):
             rng = RngStream(args.seed, path_id).generator()
-            states = run_skeleton(params, args.steps, rng, dt=args.dt)
+            states = run_skeleton(params, args.steps, rng)
             for st in states:
                 fh.write(
                     json.dumps(
@@ -374,7 +375,6 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--paths", type=int, default=1)
-    p.add_argument("--dt", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_skeleton)
@@ -429,12 +429,19 @@ def main(argv=None) -> int:
         from .acceptance import MASTER_SEED
 
         args.seed = MASTER_SEED
-    if args.emit_config:
-        resolved = {k: v for k, v in vars(args).items() if k not in ("func", "emit_config")}
-        print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
     try:
+        if args.emit_config:
+            resolved = {k: v for k, v in vars(args).items() if k not in ("func", "emit_config")}
+            print(json.dumps(resolved, indent=2, sort_keys=True, default=str))
         _check_flags(args)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader has what it wanted (`| head`); point stdout at devnull
+        # so that the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

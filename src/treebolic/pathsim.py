@@ -32,7 +32,8 @@ or near a boundary.
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`; `simulate_path` is a one-path run
 checkpointed every record_stride * dt) or to each path's first skeleton
-event (`first_exit_batch`; `skeleton.sample_tau_batch` runs it height-only).
+event (`first_exit_batch`; `skeleton.sample_tau_batch` runs it height-only
+for interior starts).
 The loop returns what it kept: each path's finished state and, at a
 horizon, the event stream and the checkpoint states.  Tree vertices are
 rebuilt afterwards from the event stream.
@@ -66,6 +67,12 @@ class NumericalError(RuntimeError):
     """The height moved by a whole level in one step: dt is too large."""
 
 
+def check_dt(dt: float) -> None:
+    """Reject a step size the kernel is not run at."""
+    if not 0.0 < dt <= MAX_DT:
+        raise ValueError(f"dt must lie in (0, {MAX_DT:g}]")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Step size, horizon and recording cadence for path runs."""
@@ -75,8 +82,7 @@ class SimConfig:
     record_stride: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.dt <= MAX_DT:
-            raise ValueError(f"dt must lie in (0, {MAX_DT:g}]")
+        check_dt(self.dt)
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
         if self.record_stride < 1:
@@ -143,10 +149,17 @@ class _DrawBlock:
     normals, read by every path on every step, come in blocks of rows, less
     deep for wide batches; compaction keeps the surviving columns, so it
     does not disturb the other paths' draws.  The side and bridge uniforms,
-    read only on a line or near a boundary, come in order from a pool."""
+    read only on a line or near a boundary, come in order from a pool.
+
+    Each block is drawn into the front of one buffer, grown only when a
+    block outsizes it, and compaction packs it in place: blocks are
+    megabytes, and freeing and reallocating them around the allocator's mmap
+    threshold makes the peak memory depend on the heap layout of the
+    process."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
+        self.buf = np.empty(0)
         self.z = np.empty((0, 0))
         self.pool = np.empty(0)
         self.i = self.j = 0
@@ -154,7 +167,11 @@ class _DrawBlock:
     def next(self, n: int) -> np.ndarray:
         """The height normals of the next step of n paths."""
         if self.i >= self.z.shape[0] or n != self.z.shape[1]:
-            self.z = self.rng.standard_normal((max(8, min(_BLOCK, 2_000_000 // n)), n))
+            size = max(8, min(_BLOCK, 2_000_000 // n)) * n
+            if self.buf.size < size:
+                self.buf = np.empty(size)
+            self.z = self.buf[:size].reshape(-1, n)
+            self.rng.standard_normal(out=self.z)
             self.i = 0
         self.i += 1
         return self.z[self.i - 1]
@@ -167,8 +184,15 @@ class _DrawBlock:
         return self.pool[self.j - k : self.j]
 
     def compress(self, keep: np.ndarray) -> None:
-        self.z = self.z[self.i :, keep]
-        self.i = 0
+        """Keep the unread rows of the surviving columns, packed into the
+        front of the buffer row by row.  Each row is copied out before it is
+        written, and a packed row ends before the next unread row starts,
+        so no row is overwritten before it is read."""
+        rows, m = self.z.shape[0] - self.i, int(keep.sum())
+        packed = self.buf[: rows * m].reshape(rows, m)
+        for r in range(rows):
+            packed[r] = self.z[self.i + r, keep]
+        self.z, self.i = packed, 0
 
 
 def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc: np.ndarray) -> None:
@@ -306,8 +330,7 @@ def _drive(
     keep stepping until the next compaction, but nothing more of them is
     kept.
     """
-    if not 0.0 < dt <= MAX_DT:
-        raise ValueError(f"dt must lie in (0, {MAX_DT:g}]")
+    check_dt(dt)
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
     n = st.t.size
     # the state to keep: all but the accrued variance (0 once observed)

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -114,7 +118,7 @@ class TestSkeletonDump:
         f = tmp_path / "skel.jsonl"
         code = main(
             ["skeleton", "--q", "2", "--p", "2", "--alpha", "1", "--beta", "1",
-             "--steps", "20", "--paths", "1", "--dt", "1e-3", "--seed", "3",
+             "--steps", "20", "--paths", "1", "--seed", "3",
              "--out", str(f)]
         )
         assert code == 0
@@ -123,6 +127,32 @@ class TestSkeletonDump:
         for a, b in zip(rows, rows[1:]):
             assert abs(b["hor"] - a["hor"]) == 1
             assert b["tau"] > a["tau"]
+
+    def test_skeleton_has_no_step_size(self, capsys):
+        # line-start sojourns are exact, so the dump has no dt to set
+        with pytest.raises(SystemExit) as exc:
+            main(["skeleton", *_MODEL, "--dt", "1e-3"])
+        assert exc.value.code == 1
+        assert "--dt" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_cleanly():
+    # `treebolic simulate ... | head -2`: the reader closes the pipe while
+    # the dump (about 2000 rows, beyond a pipe buffer) is being written
+    argv = ["simulate", *_MODEL, "--horizon", "0.2", "--record-stride", "1",
+            "--no-distance", "--seed", "7"]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "treebolic.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 0
+    assert lines[0] == b"path,t,x,Y,vertex,n_t,dist\n"
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
 class TestAnalysisCommands:
@@ -248,3 +278,6 @@ def test_verify_quick(capsys):
     assert code == 0
     assert out.count("[PASS]") == 11
     assert "11/11 criteria passed (quick mode)" in out
+    # each criterion's line ends with its wall time
+    timed = re.findall(r"^\[PASS\] criterion \d+: .+ \(\d+\.\d s\)$", out, flags=re.MULTILINE)
+    assert len(timed) == 11

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from treebolic.analysis import ks_two_sample
+from treebolic.analysis import ks_against_cdf, ks_two_sample
 from treebolic.closed_forms import ModelParams
 from treebolic.pathsim import (
     NumericalError,
@@ -27,7 +27,7 @@ from treebolic.pathsim import (
     simulate_path,
 )
 from treebolic.padic import PadicRational
-from treebolic.skeleton import RngStream, sample_tau_batch
+from treebolic.skeleton import RngStream, _sojourn_law, sample_tau_batch
 from treebolic.space import HTParams, HTPoint, origin
 from treebolic.tree import TreePoint, TreeVertex
 
@@ -42,7 +42,10 @@ class _FakeRng:
     def __init__(self, z=0.0):
         self.z = z
 
-    def standard_normal(self, size=None):
+    def standard_normal(self, size=None, out=None):
+        if out is not None:
+            out.fill(self.z)
+            return out
         return np.full(size, self.z) if size is not None else self.z
 
     def random(self, size=None):
@@ -57,9 +60,9 @@ class _FlipX:
     def __init__(self, seed):
         self.g = np.random.default_rng(seed)
 
-    def standard_normal(self, size=None):
-        out = self.g.standard_normal(size)
-        return -out if np.ndim(out) == 1 else out
+    def standard_normal(self, size=None, out=None):
+        z = self.g.standard_normal(size, out=out)
+        return -z if np.ndim(z) == 1 else z
 
     def random(self, size=None):
         return self.g.random(size)
@@ -304,10 +307,23 @@ class TestFirstExit:
     def test_matches_skeleton_sampler(self):
         n = 4000
         fe = first_exit_batch(BASE, n, RngStream(4, 0).generator(), dt=5e-4)
-        tau, side = sample_tau_batch(BASE, n, RngStream(4, 1).generator(), dt=5e-4)
+        tau, side = sample_tau_batch(BASE, n, RngStream(4, 1).generator())
         assert ks_two_sample(fe.tau, tau).statistic < 0.04
         p1, p2 = np.mean(fe.side == 1), np.mean(side == 1)
         assert abs(p1 - p2) <= 3 * math.sqrt(0.5 * 2 / n)
+
+    def test_height_only_line_start_matches_the_exact_law(self):
+        n = 4000
+        tau = _drive(BASE, 5e-4, RngStream(4, 2).generator(), _Arrays(n, 0, 0.0)).final["t"]
+        law = _sojourn_law(BASE)
+        cdf = lambda t: 0.0 if t < law.t_min else 1.0 - law.survival(t)[0]  # noqa: E731
+        assert ks_against_cdf(tau, cdf).statistic < 0.04
+
+    def test_side_tau_independence(self):
+        n = 20000
+        fe = first_exit_batch(DRIFTED, n, RngStream(11).generator(), dt=5e-4)
+        corr = np.corrcoef(fe.tau, fe.side)[0, 1]
+        assert abs(corr) < 3.0 / math.sqrt(n)
 
     @pytest.mark.parametrize("p", [2, 3, 4])
     def test_up_exits_choose_uniform_children(self, p):
@@ -374,9 +390,7 @@ class TestHorizonRuns:
             [time_sorted[np.searchsorted(path_sorted, np.arange(run.n_paths))],
              gaps[same]]
         )
-        tau, _ = sample_tau_batch(
-            ModelParams(2.0, 2, 1.0, 0.75), 8000, RngStream(10).generator(), dt=5e-4
-        )
+        tau, _ = sample_tau_batch(ModelParams(2.0, 2, 1.0, 0.75), 8000, RngStream(10).generator())
         assert ks_two_sample(increments, tau).statistic < 0.035
 
     def test_event_counter_and_levels(self):

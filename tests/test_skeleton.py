@@ -2,17 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from treebolic.acceptance import ALT_TAU, DOWNWARD, DRIFT_FREE, EXIT_PARAMS
 from treebolic.closed_forms import (
     ModelParams,
+    b_param,
     exp_tau,
     laplace_tau,
     mean_step,
     prob_up,
+    var_tau,
 )
 from treebolic.skeleton import (
     RngStream,
     SkeletonState,
+    _sojourn_law,
+    _spectrum,
     run_skeleton,
     sample_tau_batch,
     step_side,
@@ -22,6 +29,11 @@ from treebolic.tree import TreeVertex
 
 BASE = ModelParams(2.0, 2, 1.0, 0.5)  # rho = 1
 DRIFTED = ModelParams(2.0, 2, 1.0, 1.0)  # rho = 2
+# A + B = beta p + 1 + (beta p - 1) b < 0: the first zero of r is on s > 0
+KAPPA = ModelParams(8.0, 1, -5.0, 0.2)
+# A + B = 0 to rounding: the first zero sits at s = 0, where r's closed forms cancel
+_B = b_param(ModelParams(8.0, 1, -1.0, 1.0))
+BALANCED = ModelParams(8.0, 1, -1.0, (_B - 1.0) / (_B + 1.0))
 
 
 class TestRngStream:
@@ -91,6 +103,70 @@ class TestStepVertex:
             step_vertex(TreeVertex.root(2), 0, BASE, RngStream(6).generator())
 
 
+def _brownian_survival(params, t, terms=4000):
+    """P[tau > t] for alpha = 1, where the height is a Brownian motion and
+    tau its exit time of [-1, 1]: (4/pi) sum (-1)^n/(2n+1) e^(-theta_n^2 t / log^2 q)
+    with theta_n = (n + 1/2) pi."""
+    n = np.arange(terms)
+    theta = (n + 0.5) * math.pi
+    terms_nt = (-1.0) ** n / (2 * n + 1) * np.exp(-np.multiply.outer(t, theta**2) / params.log_q**2)
+    return 4.0 / math.pi * terms_nt.sum(-1)
+
+
+class TestExactLaw:
+    @pytest.mark.parametrize("params", [BASE, DRIFTED, ModelParams(1.5, 3, 1.0, 2.0)])
+    def test_brownian_zeros_and_survival_at_alpha_one(self, params):
+        law = _sojourn_law(params)
+        theta = params.log_q * np.sqrt(-law.lam)
+        assert theta == pytest.approx((np.arange(1, theta.size + 1) - 0.5) * math.pi, rel=1e-13)
+        t = np.geomspace(law.t_min, 20.0 * exp_tau(params), 200)
+        assert np.abs(law.survival(t) - _brownian_survival(params, t)).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        params=hst.builds(
+            ModelParams,
+            q=hst.floats(1.05, 8.0),
+            p=hst.integers(1, 4),
+            alpha=hst.floats(-5.0, 3.0),
+            beta=hst.floats(0.1, 5.0),
+        )
+    )
+    @example(params=KAPPA)
+    @example(params=BALANCED)
+    def test_spectral_moments_match_closed_forms(self, params):
+        # E tau = sum R_k / lam_k^2 and E tau^2 = 2 sum R_k / (-lam_k)^3; the
+        # alternating tails converge slowly, hence many more zeros than the
+        # sampler keeps
+        lam, res = _spectrum(params, 4000)
+        assert np.all(np.diff(lam) < 0) and lam[0] < 0
+        mean = (res / lam**2).sum()
+        assert abs(mean - exp_tau(params)) <= 1e-8
+        assert abs(2.0 * (res / (-lam) ** 3).sum() - mean**2 - var_tau(params)) <= 1e-8
+
+    def test_examples_reach_both_branches(self):
+        # the first zero's s = b^2 + log^2 q lam_1 in the two examples above
+        def s1(params):
+            return b_param(params) ** 2 + params.log_q**2 * _spectrum(params, 1)[0][0]
+
+        assert s1(KAPPA) > 0.0
+        assert abs(s1(BALANCED)) < 1e-9
+
+    @pytest.mark.parametrize("params", [DRIFT_FREE, DRIFTED, DOWNWARD, EXIT_PARAMS, ALT_TAU, KAPPA])
+    def test_mass_below_t_min(self, params):
+        law = _sojourn_law(params)
+        assert 1.0 - law.survival(law.t_min)[0] <= 1e-12
+
+    @pytest.mark.parametrize("params", [DRIFT_FREE, ALT_TAU, KAPPA, BALANCED])
+    def test_samples_invert_the_survival_function(self, params):
+        n = 5000
+        tau, _ = sample_tau_batch(params, n, RngStream(18).generator())
+        u = 1.0 - RngStream(18).generator().random(n)
+        law = _sojourn_law(params)
+        assert np.all(tau >= law.t_min)
+        assert np.abs(law.survival(tau) - u).max() <= 1e-12
+
+
 class TestSampleTau:
     def test_deterministic(self):
         t1, s1 = sample_tau_batch(BASE, 500, RngStream(7).generator(), dt=1e-3)
@@ -99,7 +175,7 @@ class TestSampleTau:
 
     def test_mean_and_sides(self):
         n = 20000
-        tau, side = sample_tau_batch(BASE, n, RngStream(9).generator(), dt=5e-4)
+        tau, side = sample_tau_batch(BASE, n, RngStream(9).generator())
         et = exp_tau(BASE)
         se = tau.std(ddof=1) / math.sqrt(n)
         assert abs(tau.mean() - et) <= max(4 * se, 0.025 * et)
@@ -108,14 +184,8 @@ class TestSampleTau:
 
     def test_laplace_point(self):
         n = 20000
-        tau, _ = sample_tau_batch(BASE, n, RngStream(10).generator(), dt=5e-4)
+        tau, _ = sample_tau_batch(BASE, n, RngStream(10).generator())
         assert np.exp(-tau).mean() == pytest.approx(laplace_tau(BASE, 1.0), rel=0.02)
-
-    def test_side_tau_independence(self):
-        n = 20000
-        tau, side = sample_tau_batch(DRIFTED, n, RngStream(11).generator(), dt=5e-4)
-        corr = np.corrcoef(tau, side)[0, 1]
-        assert abs(corr) < 3.0 / math.sqrt(n)
 
     def test_interior_start_mean(self):
         # beta p = 1 removes the line weight, so from y0 the exit time of the
@@ -141,7 +211,7 @@ class TestSampleTau:
 
 class TestRunSkeleton:
     def test_structure_and_telescoping(self):
-        states = run_skeleton(DRIFTED, 400, RngStream(14).generator(), dt=2e-3)
+        states = run_skeleton(DRIFTED, 400, RngStream(14).generator())
         assert len(states) == 401
         assert states[0].vertex == TreeVertex.root(2)
         clocks = [s.clock for s in states]
@@ -152,7 +222,7 @@ class TestRunSkeleton:
 
     def test_law_of_large_numbers(self):
         n = 2000
-        states = run_skeleton(DRIFTED, n, RngStream(15).generator(), dt=1e-3)
+        states = run_skeleton(DRIFTED, n, RngStream(15).generator())
         drift = states[-1].hor / n
         sd_step = math.sqrt(8.0 / 9.0)
         assert abs(drift - mean_step(DRIFTED)) <= 3 * sd_step / math.sqrt(n)
