@@ -27,8 +27,7 @@ from .isometry import AfElement, AffH, AffT, bs_word
 from .padic import PadicRational
 from .pathsim import (
     SimConfig,
-    distance_to_origin,
-    final_tree_points,
+    final_points_and_distances,
     first_exit_batch,
     run_batch,
 )
@@ -117,7 +116,7 @@ class AcceptanceSuite:
             self._rng(4),
             checkpoints=[t / 2.0],
         )
-        return (run, *_points_and_distances(DRIFTED, run))
+        return (run, *final_points_and_distances(run))
 
     @functools.cached_property
     def driftfree_run(self):
@@ -130,7 +129,7 @@ class AcceptanceSuite:
             self._rng(5),
             checkpoints=cps,
         )
-        return (run, *_points_and_distances(DRIFT_FREE, run))
+        return (run, *final_points_and_distances(run))
 
     @functools.cached_property
     def driftfree_long_run(self):
@@ -149,7 +148,7 @@ class AcceptanceSuite:
             self._n(2000),
             self._rng(16),
         )
-        return run, _points_and_distances(DRIFT_FREE, run)[1]
+        return run, final_points_and_distances(run)[1]
 
     @functools.cached_property
     def downward_run(self):
@@ -242,7 +241,7 @@ class AcceptanceSuite:
         # d exceeds log q |Y| by an O(1) geometric correction, which cancels
         # in the increment over the second half of the run
         t_half = float(run.checkpoint_times[0])
-        d_half = _points_and_distances(DRIFTED, run, checkpoint=0)[1]
+        d_half = final_points_and_distances(run, checkpoint=0)[1]
         rate = analysis.estimate_escape_rate(dists[:n] - d_half[:n], t - t_half)
         c.expect(
             abs(rate.mean - ell) <= tol * ell,
@@ -299,7 +298,7 @@ class AcceptanceSuite:
         run4 = run_batch(
             DRIFTED, SimConfig(dt=1e-3, horizon=t4), self._n(1000), self._rng(17)
         )
-        d4 = _points_and_distances(DRIFTED, run4)[1]
+        d4 = final_points_and_distances(run4)[1]
         ks4 = analysis.distance_clt(DRIFTED, d4, t4).statistic
         c.note(f"same statistic at t = {t4:.0f} (4x horizon): KS = {ks4:.4f}")
         return c.result(6, "distance central limit theorem with drift")
@@ -538,14 +537,6 @@ class AcceptanceSuite:
             res.seconds = time.perf_counter() - start
             results.append(res)
         return results
-
-
-def _points_and_distances(params: ModelParams, run, checkpoint: int | None = None):
-    """Each path's final tree position, or its position at the checkpoint of
-    that index, and its distance to the origin there."""
-    points = final_tree_points(run, checkpoint=checkpoint)
-    x = run.x if checkpoint is None else run.checkpoint_x[:, checkpoint]
-    return points, np.array([distance_to_origin(params, xi, w) for xi, w in zip(x, points)])
 
 
 # -- random generators for the exact-geometry checks --------------------------

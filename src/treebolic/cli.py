@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import sys
 
@@ -28,7 +29,7 @@ from .pathsim import (
     MAX_DT,
     NumericalError,
     SimConfig,
-    distance_to_origin,
+    final_points_and_distances,
     final_tree_points,
     run_batch,
     simulate_path,
@@ -71,6 +72,10 @@ def _check_flags(args) -> None:
     dt = getattr(args, "dt", None)
     if dt is not None and not 0.0 < dt <= MAX_DT:
         raise _UsageError(f"--dt must lie in (0, {MAX_DT:g}], got {dt:g}")
+    for name in ("horizon", "start_x"):
+        value = getattr(args, name, None)
+        if value is not None and not math.isfinite(value):
+            raise _UsageError(f"--{name.replace('_', '-')} must be finite, got {value:g}")
     horizon = getattr(args, "horizon", None)
     if horizon is not None and horizon < dt:
         raise _UsageError(f"--horizon must be at least --dt ({dt:g}), got {horizon:g}")
@@ -189,8 +194,7 @@ def _cmd_escape(args) -> int:
     params = _model(args)
     horizon = _horizon(args, params)
     run = _batch(args, params, horizon)
-    points = final_tree_points(run)
-    dists = np.array([distance_to_origin(params, x, w) for x, w in zip(run.x, points)])
+    points, dists = final_points_and_distances(run)
     rate = analysis.estimate_escape_rate(dists, horizon)
     root = TreeVertex.root(params.p)
     tree_rate = analysis.SampleSummary.from_samples(
@@ -226,8 +230,7 @@ def _cmd_clt(args) -> int:
         ks = analysis.vertical_clt(params, run.y, horizon)
         report["ks"] = ks.statistic
     else:
-        points = final_tree_points(run)
-        dists = np.array([distance_to_origin(params, x, w) for x, w in zip(run.x, points)])
+        dists = final_points_and_distances(run)[1]
         if args.kind == "distance":
             if cf.is_critical(params):
                 print("distance CLT needs nonzero drift; use --kind driftfree", file=sys.stderr)

@@ -53,6 +53,8 @@ class ModelParams:
     beta: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.q, self.alpha, self.beta))):
+            raise ValueError("q, alpha and beta must be finite")
         if not self.q > 1:
             raise ValueError("q must be > 1")
         if not (isinstance(self.p, int) and self.p >= 1):

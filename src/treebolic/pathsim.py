@@ -32,8 +32,7 @@ or near a boundary.
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`; `simulate_path` is a one-path run
 checkpointed every record_stride * dt) or to each path's first skeleton
-event (`first_exit_batch`; `skeleton.sample_tau_batch` runs it height-only
-for interior starts).
+event (`first_exit_batch`).
 The loop returns what it kept: each path's finished state and, at a
 horizon, the event stream and the checkpoint states.  Tree vertices are
 rebuilt afterwards from the event stream.
@@ -83,6 +82,8 @@ class SimConfig:
 
     def __post_init__(self):
         check_dt(self.dt)
+        if not math.isfinite(self.horizon):
+            raise ValueError("horizon must be finite")
         if self.horizon < self.dt:
             raise ValueError("horizon must be at least dt")
         if self.record_stride < 1:
@@ -120,13 +121,13 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
 
 class _Arrays:
     """Mutable per-path state: anchor level, offset, clock, on-line flag,
-    excursion side and branch, and events so far.  Planar state adds the
-    abscissa at its last observation and the variance accrued since, in
-    units of 2 dt q**(2 level)."""
+    excursion side and branch, events so far, the abscissa at its last
+    observation and the variance accrued since, in units of
+    2 dt q**(2 level)."""
 
     __slots__ = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events", "xvar")
 
-    def __init__(self, n: int, level: int, rel: float, x: float | None = None):
+    def __init__(self, n: int, level: int, rel: float, x: float = 0.0):
         self.level = np.full(n, level, dtype=np.int64)
         self.rel = np.full(n, float(rel))
         self.t = np.zeros(n)
@@ -134,14 +135,12 @@ class _Arrays:
         self.side = np.full(n, np.sign(rel), dtype=np.int8)
         self.child = np.zeros(n, dtype=np.int16)
         self.n_events = np.zeros(n, dtype=np.int64)
-        self.x = None if x is None else np.full(n, float(x))
-        self.xvar = None if x is None else np.zeros(n)
+        self.x = np.full(n, float(x))
+        self.xvar = np.zeros(n)
 
     def compress(self, keep: np.ndarray) -> None:
         for name in self.__slots__:
-            value = getattr(self, name)
-            if value is not None:
-                setattr(self, name, value[keep])
+            setattr(self, name, getattr(self, name)[keep])
 
 
 class _DrawBlock:
@@ -197,10 +196,7 @@ class _DrawBlock:
 
 def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc: np.ndarray) -> None:
     """Bring the abscissae at loc up to their clocks: one normal each, with
-    the variance accrued since the last observation.  Height-only state has
-    no abscissae."""
-    if st.x is None:
-        return
+    the variance accrued since the last observation."""
     sd = np.sqrt(st.xvar[loc]) * np.exp(0.5 * co.two_log_q * st.level[loc])
     st.x[loc] += co.x_scale * sd * rng.standard_normal(sd.size)
     st.xvar[loc] = 0.0
@@ -208,13 +204,11 @@ def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc: np.ndarray
 
 def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     """One synchronized Euler step over all paths, with height normals z and
-    the side and bridge uniforms taken from draws.  Height-only state
-    (st.x is None) skips the abscissa variance and the branches.
+    the side and bridge uniforms taken from draws.
 
     Returns (event_ids, event_dirs): the paths that committed to a new line
     this step and the direction they moved.  Everything else in st is
     updated in place."""
-    planar = st.x is not None
     rel0 = st.rel
     new_rel = rel0 + (co.vol_sdt * z + co.mu_dt)
 
@@ -225,10 +219,9 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
         dep = np.copysign(np.abs(z[lin]), co.gamma - u) * co.vol_sdt + co.mu_dt
         new_rel[lin] = dep
         st.side[lin] = np.sign(dep)  # the drift may carry it across the line
-        if planar:
-            # within its side u is uniform again: rescaled, it picks the branch
-            v = np.where(u < co.gamma, u / co.gamma, (u - co.gamma) / (1.0 - co.gamma))
-            st.child[lin] = np.minimum(v * co.p, co.p - 1)
+        # within its side u is uniform again: rescaled, it picks the branch
+        v = np.where(u < co.gamma, u / co.gamma, (u - co.gamma) / (1.0 - co.gamma))
+        st.child[lin] = np.minimum(v * co.p, co.p - 1)
 
     # crossed the anchor line, or landed within _SNAP of it (side = sign of rel0)
     absn = np.abs(new_rel)
@@ -254,27 +247,22 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
 
     # clock and abscissa variance (in units of 2 dt q**(2 level)); split
     # steps end at their fraction of the step and accrue that fraction
-    if planar:
-        w = np.exp(co.two_log_q * rel0)
+    w = np.exp(co.two_log_q * rel0)
     st.t += co.dt
     cid = np.nonzero(crossed)[0]
     if cid.size:
         frac = np.minimum(rel0[cid] / (rel0[cid] - new_rel[cid]), 1.0)
         st.t[cid] -= co.dt * (1.0 - frac)
-        if planar:
-            w[cid] *= frac
+        w[cid] *= frac
     if hid.size:
         tgt = np.sign(new_rel[hid])
         frac = (tgt - rel0[hid]) / (new_rel[hid] - rel0[hid])
         st.t[hid] -= co.dt * (1.0 - frac)
-        if planar:
-            w[hid] *= frac
+        w[hid] *= frac
     if bridge_ids.size:
         st.t[bridge_ids] -= 0.5 * co.dt
-        if planar:
-            w[bridge_ids] *= 0.5
-    if planar:
-        st.xvar += w
+        w[bridge_ids] *= 0.5
+    st.xvar += w
 
     st.rel = new_rel
     st.on_line = crossed
@@ -290,8 +278,7 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     st.side[event_ids] = 0
     st.level[event_ids] += dirs
     st.n_events[event_ids] += 1
-    if planar:
-        st.xvar[event_ids] *= np.exp(-co.two_log_q * dirs)
+    st.xvar[event_ids] *= np.exp(-co.two_log_q * dirs)
     return event_ids, dirs
 
 
@@ -326,15 +313,13 @@ def _drive(
     With a horizon a path finishes at its first state with clock >= horizon
     and is kept at the first state its clock reaches each checkpoint (an
     increasing sequence); without one, it finishes at its first skeleton
-    event.  Abscissae are observed before they are kept.  Finished paths
-    keep stepping until the next compaction, but nothing more of them is
-    kept.
+    event.  Abscissae are observed before they are kept.
     """
     check_dt(dt)
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
     n = st.t.size
     # the state to keep: all but the accrued variance (0 once observed)
-    fields = [f for f in _Arrays.__slots__ if f != "xvar" and getattr(st, f) is not None]
+    fields = [f for f in _Arrays.__slots__ if f != "xvar"]
     final = {f: np.empty(n, getattr(st, f).dtype) for f in fields}
     cps = np.append(np.asarray(checkpoints, dtype=float), np.inf)  # inf: no checkpoint left
     k = cps.size - 1
@@ -351,16 +336,18 @@ def _drive(
         t_next = min(horizon, t_cp)
 
     def finish(loc):
+        nonlocal left
         _observe(st, co, rng, loc)
         g = idx[loc]
         for f, arr in final.items():
             arr[g] = getattr(st, f)[loc]
         done[loc] = True
+        left -= loc.size
 
     idx = np.arange(n)  # path id per current (compacted) slot
     done = np.zeros(n, dtype=bool)
-    iters = 0
-    while idx.size:
+    iters, left = 0, n  # left: the paths not yet finished
+    while left:
         iters += 1
         if iters > max_iter:
             raise RuntimeError("path run exceeded its iteration budget")
@@ -472,14 +459,7 @@ def run_batch(
         dt=config.dt,
         horizon=config.horizon,
         start_level=start_level,
-        t=kept.final["t"],
-        x=kept.final["x"],
-        level=kept.final["level"],
-        rel=kept.final["rel"],
-        on_line=kept.final["on_line"],
-        side=kept.final["side"],
-        child=kept.final["child"],
-        n_events=kept.final["n_events"],
+        **kept.final,
         zero_visits=kept.zero_visits,
         ev_path=kept.ev_path,
         ev_dir=kept.ev_dir,
@@ -643,3 +623,13 @@ def distance_to_origin(params: ModelParams, x: float, w: TreePoint) -> float:
     """Distance from (x, w) to the base point."""
     geo = HTParams(params.q, params.p)
     return ht_distance(geo, HTPoint(float(x), w), origin(geo))
+
+
+def final_points_and_distances(
+    run: BatchRun, checkpoint: int | None = None
+) -> tuple[list[TreePoint], np.ndarray]:
+    """Each path's final tree position, or its position at the checkpoint of
+    that index, and its distance to the origin there."""
+    points = final_tree_points(run, checkpoint=checkpoint)
+    x = run.x if checkpoint is None else run.checkpoint_x[:, checkpoint]
+    return points, np.array([distance_to_origin(run.params, xi, w) for xi, w in zip(x, points)])

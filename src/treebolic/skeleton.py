@@ -13,11 +13,7 @@ the survival function
     S(t) = sum_k R_k e^(lam_k t) / (-lam_k),   R_k = (rho + 1) e^(-b) / r'(lam_k),
 
 and a sojourn is drawn exactly, by solving S(tau) = u for a uniform u.
-Line starts (y0 = 0 in `sample_tau_batch`) are sampled this way.  An
-interior start y0 gives a plain first-exit time of [-1, 1], which meets the
-line at 0 on the way out; it is run by the Euler kernel of `pathsim` in
-height-only mode, with its O(sqrt dt) bias.  The closed forms are the
-oracle, never the sampler.
+The closed forms are the oracle, never the sampler.
 """
 
 from __future__ import annotations
@@ -30,7 +26,7 @@ from itertools import accumulate
 import numpy as np
 
 from .closed_forms import ModelParams, b_param, prob_up, r_fun, rho
-from .pathsim import _Arrays, _drive, check_dt, rebuild_vertices
+from .pathsim import check_dt, rebuild_vertices
 from .tree import TreeVertex
 
 #: Sojourns are sampled at or above t_min = _T_MIN log^2 q.  The law puts
@@ -189,28 +185,19 @@ def sample_tau_batch(
     n: int,
     rng: np.random.Generator,
     dt: float = 1e-4,
-    y0: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample n independent (exit time, exit side) pairs of the height
-    diffusion from the interval [-1, 1], started at y0.
+    """Sample n independent (sojourn, exit side) pairs of the height
+    diffusion started on a line, from the exact law: each time inverts the
+    spectral survival function of a uniform, and each side is an
+    independent uniform below prob_up.
 
-    A start on the line (y0 = 0) gives exact sojourn samples: each time
-    inverts the spectral survival function of a uniform, and each side is an
-    independent uniform below prob_up.  Interior starts give the plain
-    first-exit time, which meets the interior line at 0 on the way out, run
-    by the Euler kernel at step dt; dt is validated either way.  Raises
-    pathsim.NumericalError if dt lets a step move the height by two levels.
+    The exact law does not read dt; it is still checked like a kernel step
+    size, for callers that pass the step of their other samplers.
     """
     check_dt(dt)
-    if not -1.0 < y0 < 1.0:
-        raise ValueError("start must lie in (-1, 1)")
-    if y0 == 0.0:
-        tau = _sojourn_law(params).quantile(1.0 - rng.random(n))  # u in (0, 1]
-        side = np.where(rng.random(n) < prob_up(params), 1, -1).astype(np.int8)
-        return tau, side
-    final = _drive(params, dt, rng, _Arrays(n, 0, y0)).final
-    # a path's only event is its first: its direction is the change of level
-    return final["t"], final["level"].astype(np.int8)
+    tau = _sojourn_law(params).quantile(1.0 - rng.random(n))  # u in (0, 1]
+    side = np.where(rng.random(n) < prob_up(params), 1, -1).astype(np.int8)
+    return tau, side
 
 
 def run_skeleton(

@@ -30,6 +30,8 @@ class TestParsing:
     def test_invalid_domain_values(self, capsys):
         assert main(["formulas", "--q", "0.5", "--p", "2", "--alpha", "1", "--beta", "1"]) == 1
         assert "invalid parameters" in capsys.readouterr().err
+        assert main(["escape", "--q", "2", "--p", "2", "--alpha", "nan", "--beta", "1"]) == 1
+        assert "invalid parameters" in capsys.readouterr().err
 
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:
@@ -49,6 +51,10 @@ class TestFlagRanges:
             (["simulate", *_MODEL, "--record-stride", "0"], "--record-stride"),
             (["escape", *_MODEL, "--horizon", "-1"], "--horizon"),
             (["simulate", *_MODEL, "--horizon", "1e-5"], "--horizon"),
+            (["escape", *_MODEL, "--horizon", "inf"], "--horizon"),
+            (["escape", *_MODEL, "--horizon", "nan"], "--horizon"),
+            (["exit-measure", *_MODEL, "--start-x", "nan"], "--start-x"),
+            (["exit-measure", *_MODEL, "--start-x=-inf"], "--start-x"),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(self, capsys, argv, flag):

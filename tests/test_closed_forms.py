@@ -63,7 +63,11 @@ class TestBasics:
             r_fun(BASE, 2000.0)
 
     def test_params_validation(self):
-        for bad in (dict(q=1.0), dict(p=0), dict(beta=0.0)):
+        nan, inf = float("nan"), float("inf")
+        for bad in (
+            dict(q=1.0), dict(p=0), dict(beta=0.0),
+            dict(q=inf), dict(alpha=nan), dict(alpha=-inf), dict(beta=inf),
+        ):
             kw = dict(q=2.0, p=2, alpha=1.0, beta=0.5)
             kw.update(bad)
             with pytest.raises(ValueError):

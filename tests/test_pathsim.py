@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+from treebolic import pathsim
 from treebolic.analysis import ks_against_cdf, ks_two_sample
 from treebolic.closed_forms import ModelParams
 from treebolic.pathsim import (
@@ -89,6 +90,9 @@ class TestConfig:
             SimConfig(dt=1e-3, horizon=1e-4)
         with pytest.raises(ValueError):
             SimConfig(record_stride=0)
+        for horizon in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                SimConfig(dt=1e-3, horizon=horizon)
 
     @pytest.mark.parametrize("dt", [0.0, -1e-3, 0.05])
     @pytest.mark.parametrize("sampler", [first_exit_batch, sample_tau_batch])
@@ -156,16 +160,15 @@ class TestKernelStep:
         assert st.rel[0] == pytest.approx(0.5 * co.mu_dt)
         assert st.side[0] == 1 and st.child[0] == 1 and not st.on_line[0]
 
-    @pytest.mark.parametrize("planar", [True, False])
-    def test_numerical_guard(self, planar):
-        st = _Arrays(1, 0, -0.5, 0.0 if planar else None)
+    def test_numerical_guard(self):
+        st = _Arrays(1, 0, -0.5)
         draws = _DrawBlock(_FakeRng(80.0))
         with pytest.raises(NumericalError):
             _advance(st, _coeffs(BASE, 1e-2), draws.next(1), draws)
 
     def test_sojourn_sampler_raises_on_a_two_level_step(self):
         with pytest.raises(NumericalError):
-            sample_tau_batch(BASE, 4, _FakeRng(80.0), dt=1e-2, y0=-0.5)
+            first_exit_batch(BASE, 4, _FakeRng(80.0), dt=1e-2)
 
     def test_event_moves_anchor(self):
         st, eids, dirs = _one_step(BASE, 1e-3, _FakeRng(-1.0), rel=-0.999)
@@ -199,13 +202,12 @@ class TestKernelProperties:
         params=_PARAMS,
         dt=hst.floats(1e-5, 1e-2),
         seed=hst.integers(0, 2**32 - 1),
-        planar=hst.booleans(),
         rel=hst.sampled_from([0.0, -0.5, 0.9]),
     )
-    def test_step_invariants(self, params, dt, seed, planar, rel):
+    def test_step_invariants(self, params, dt, seed, rel):
         n = 16
         co = _coeffs(params, dt)
-        st = _Arrays(n, 0, rel, 0.0 if planar else None)
+        st = _Arrays(n, 0, rel)
         draws = _Recording(np.random.default_rng(seed))
         for _ in range(300):
             z = draws.next(n)
@@ -226,9 +228,8 @@ class TestKernelProperties:
                 return
             assert np.all(np.abs(st.rel) < 1.0)
             assert np.all(st.rel[st.on_line] == 0.0) and np.all(st.side == np.sign(st.rel))
-            if planar:
-                child = st.child[st.side > 0]
-                assert np.all((child >= 0) & (child < params.p))
+            child = st.child[st.side > 0]
+            assert np.all((child >= 0) & (child < params.p))
             assert np.all(np.abs(dirs) == 1)
             moved = st.level - level
             assert np.array_equal(moved[eids], dirs)
@@ -250,6 +251,19 @@ class TestKernelProperties:
         run = run_batch(params, SimConfig(dt=dt, horizon=horizon), 8, np.random.default_rng(seed))
         assert np.all(run.t >= horizon) and np.all(run.t < horizon + dt)
 
+    def test_a_finished_path_takes_no_more_steps(self, monkeypatch):
+        # 50 steps to the horizon, not a multiple of the compaction interval
+        clocks = []
+
+        def advance(st, *args):
+            clocks.append(st.t.copy())
+            return _advance(st, *args)
+
+        monkeypatch.setattr(pathsim, "_advance", advance)
+        run = run_batch(DRIFTED, SimConfig(dt=1e-3, horizon=0.05), 1, RngStream(23).generator())
+        assert run.t[0] >= 0.05 and len(clocks) >= 50
+        assert all(t.size == 1 and t[0] < 0.05 for t in clocks)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         dt=hst.floats(1e-4, 1e-2),
@@ -259,10 +273,9 @@ class TestKernelProperties:
             hst.tuples(hst.just("grid"), hst.sampled_from([1 / 3, 1.0, 2.0, 3.0])),
             hst.tuples(hst.just("random"), hst.lists(hst.floats(0.0, 1.0), max_size=40, unique=True)),
         ),
-        planar=hst.booleans(),
         seed=hst.integers(0, 2**32 - 1),
     )
-    def test_checkpoint_states_are_the_first_at_or_after(self, dt, steps, grid, planar, seed):
+    def test_checkpoint_states_are_the_first_at_or_after(self, dt, steps, grid, seed):
         horizon = steps * dt
         kind, value = grid
         if kind == "grid":
@@ -270,7 +283,7 @@ class TestKernelProperties:
             cps = cps[cps <= horizon]
         else:
             cps = np.unique(np.asarray(value, dtype=float) * horizon)
-        st = _Arrays(6, 0, 0.0, 0.0 if planar else None)
+        st = _Arrays(6, 0, 0.0)
         t = _drive(DRIFTED, dt, np.random.default_rng(seed), st, horizon=horizon, checkpoints=cps).checkpoints["t"]
         # a step adds at most dt: the first clock at or after cp is at most
         # cp + dt, which it reaches only by rounding
@@ -312,12 +325,27 @@ class TestFirstExit:
         p1, p2 = np.mean(fe.side == 1), np.mean(side == 1)
         assert abs(p1 - p2) <= 3 * math.sqrt(0.5 * 2 / n)
 
-    def test_height_only_line_start_matches_the_exact_law(self):
+    def test_line_start_matches_the_exact_law(self):
         n = 4000
-        tau = _drive(BASE, 5e-4, RngStream(4, 2).generator(), _Arrays(n, 0, 0.0)).final["t"]
+        tau = first_exit_batch(BASE, n, RngStream(4, 2).generator(), dt=5e-4).tau
         law = _sojourn_law(BASE)
         cdf = lambda t: 0.0 if t < law.t_min else 1.0 - law.survival(t)[0]  # noqa: E731
         assert ks_against_cdf(tau, cdf).statistic < 0.04
+
+    def test_interior_start_mean(self):
+        # beta p = 1 removes the line weight, so from y0 the exit time of the
+        # interval [-1, 1] has mean (1 - y0) (y0 + 1) / vol^2
+        n = 20000
+        y0 = 0.5
+        final = _drive(BASE, 5e-4, RngStream(12).generator(), _Arrays(n, 0, y0)).final
+        tau, side = final["t"], final["level"]
+        vol2 = 2.0 / math.log(2.0) ** 2
+        expected = (1.0 - y0) * (y0 + 1.0) / vol2
+        se = tau.std(ddof=1) / math.sqrt(n)
+        assert abs(tau.mean() - expected) <= max(4 * se, 0.03 * expected)
+        # exit side of driftless diffusion from y0: P[+1] = (y0 + 1)/2; the
+        # coarse dt used here leaves an O(sqrt dt) bias on top of the noise
+        assert abs(np.mean(side == 1) - 0.75) <= 3 * math.sqrt(0.1875 / n) + 0.012
 
     def test_side_tau_independence(self):
         n = 20000
