@@ -66,6 +66,11 @@ def _add_run_flags(p: argparse.ArgumentParser, paths_default: int) -> None:
 #: Count flags that must be >= 1, where a subcommand has them.
 _COUNT_FLAGS = ("paths", "record_stride", "steps", "samples", "limit_samples")
 
+#: Largest |start level| * ln q: half the float exponent range, so that the
+#: kernel's abscissa scale q**level, and its products with the root of the
+#: accrued variance, stay well inside the float range.
+_MAX_LEVEL_LOG = math.log(sys.float_info.max) / 2.0
+
 
 def _check_flags(args) -> None:
     """Range checks on the parsed flags; a violation is a usage error."""
@@ -83,6 +88,11 @@ def _check_flags(args) -> None:
         value = getattr(args, name, None)
         if value is not None and value < 1:
             raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+    level = getattr(args, "start_level", None)
+    if level is not None and args.q > 1.0 and abs(level) * math.log(args.q) > _MAX_LEVEL_LOG:
+        raise _UsageError(
+            f"--start-level must satisfy |start-level| * ln q <= {_MAX_LEVEL_LOG:.0f}, got {level}"
+        )
 
 
 def _model(args) -> ModelParams:
@@ -259,6 +269,7 @@ def _cmd_exit_measure(args) -> int:
         start_x=args.start_x,
     )
     masses = em.line_masses()
+    pulled_back = em.pulled_back_x()
     _emit(
         args,
         {
@@ -269,8 +280,10 @@ def _cmd_exit_measure(args) -> int:
             "start_x": args.start_x,
             "line_masses": masses.tolist(),
             "expected_masses": em.expected_masses().tolist(),
-            "x_skewness": analysis.skewness(em.x),
-            "x_summary": analysis.SampleSummary.from_samples(em.pulled_back_x()).as_dict(),
+            # the skewness is scale free: of the pulled-back abscissae it is
+            # that of em.x, without cubing raw abscissae of size q**start_level
+            "x_skewness": analysis.skewness(pulled_back),
+            "x_summary": analysis.SampleSummary.from_samples(pulled_back).as_dict(),
         },
     )
     return 0

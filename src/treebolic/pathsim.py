@@ -36,10 +36,21 @@ event (`first_exit_batch`).
 The loop returns what it kept: each path's finished state and, at a
 horizon, the event stream and the checkpoint states.  Tree vertices are
 rebuilt afterwards from the event stream.
+
+Inside a strip, away from its lines and boundary, the kernel is a plain
+drifted Brownian step: three additions and no uniforms.  After a step on
+which every path took that regular branch, the loop takes the next rows of
+the draw block in one vectorized pass (`_quiet_rows`: running sums of the
+offsets, clocks and abscissa variances) for as long as every path stays
+regular and below the horizon.  Running sums add in the kernel's order,
+and a checkpoint reached inside the pass is observed at its own row with
+the loop's own draws, so every output and the generator's state are
+bit-identical.  A one-path trajectory takes most of its steps this way.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -184,13 +195,16 @@ class _DrawBlock:
 
     def compress(self, keep: np.ndarray) -> None:
         """Keep the unread rows of the surviving columns, packed into the
-        front of the buffer row by row.  Each row is copied out before it is
-        written, and a packed row ends before the next unread row starts,
-        so no row is overwritten before it is read."""
+        front of the buffer a chunk of rows at a time.  Each chunk is copied
+        out before it is written, and a packed chunk ends before the next
+        unread row starts, so no row is overwritten before it is read.  A
+        chunk is at most 64 KiB, half the allocator's default mmap
+        threshold, so its temporary comes from the heap (see above)."""
         rows, m = self.z.shape[0] - self.i, int(keep.sum())
         packed = self.buf[: rows * m].reshape(rows, m)
-        for r in range(rows):
-            packed[r] = self.z[self.i + r, keep]
+        chunk = max(1, 8192 // max(m, 1))
+        for r in range(0, rows, chunk):
+            packed[r : r + chunk] = self.z[self.i + r : self.i + r + chunk, keep]
         self.z, self.i = packed, 0
 
 
@@ -206,9 +220,10 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     """One synchronized Euler step over all paths, with height normals z and
     the side and bridge uniforms taken from draws.
 
-    Returns (event_ids, event_dirs): the paths that committed to a new line
-    this step and the direction they moved.  Everything else in st is
-    updated in place."""
+    Returns (event_ids, event_dirs, quiet): the paths that committed to a
+    new line this step, the direction they moved, and whether every path
+    took the regular branch (off the lines, no crossing, none near the
+    boundary).  Everything else in st is updated in place."""
     rel0 = st.rel
     new_rel = rel0 + (co.vol_sdt * z + co.mu_dt)
 
@@ -271,7 +286,7 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
         st.side[cid] = 0
     event_ids = np.sort(np.concatenate([hid, bridge_ids])) if hid.size else bridge_ids
     if not event_ids.size:
-        return event_ids, event_ids  # both empty
+        return event_ids, event_ids, not (lin.size or cand.size or cid.size)
     dirs = np.where(new_rel[event_ids] > 0, 1, -1)
     new_rel[event_ids] = 0.0
     crossed[event_ids] = True
@@ -279,7 +294,33 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     st.level[event_ids] += dirs
     st.n_events[event_ids] += 1
     st.xvar[event_ids] *= np.exp(-co.two_log_q * dirs)
-    return event_ids, dirs
+    return event_ids, dirs, False
+
+
+def _quiet_rows(st: _Arrays, co: _Coeffs, z: np.ndarray, horizon: float | None):
+    """The kernel's regular branch over the leading rows of the height
+    normals z (rows, n) on which every path takes it: none on a line (the
+    caller's condition), crossing its anchor line or within near_cut of the
+    boundary, and every clock below the horizon.  Returns the number of
+    rows taken, the offsets and clocks before each row and after the last,
+    and the abscissa variance of each row; np.cumsum adds along axis 0 one
+    row at a time, as the kernel does.
+
+    The window is max(1, _COMPACT_EVERY // n) rows of z, zero-padded: runs
+    are long for one path and short for wide batches, and one shape per
+    width lets numpy reuse its freed small blocks."""
+    window = np.zeros((max(1, _COMPACT_EVERY // z.shape[1]), z.shape[1]))
+    z = z[: len(window)]
+    window[: len(z)] = z
+    rel = np.cumsum(np.vstack((st.rel, co.vol_sdt * window + co.mu_dt)), axis=0)
+    t = np.cumsum(np.vstack((st.t, np.full(window.shape, co.dt))), axis=0)
+    new = rel[1:]
+    ok = ((new * st.side >= _SNAP) & (np.abs(new) <= 1.0 - co.near_cut)).all(axis=1)
+    if horizon is not None:
+        ok &= t[1:].max(axis=1) < horizon
+    ok[len(z) :] = False
+    taken = ok.size if ok.all() else int(ok.argmin())
+    return taken, rel, t, np.exp(co.two_log_q * rel[:-1])
 
 
 @dataclass
@@ -314,6 +355,9 @@ def _drive(
     and is kept at the first state its clock reaches each checkpoint (an
     increasing sequence); without one, it finishes at its first skeleton
     event.  Abscissae are observed before they are kept.
+
+    Rows taken by the quiet pass (see the module docstring) count as
+    iterations; the pass stops before the next compaction.
     """
     check_dt(dt)
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
@@ -351,7 +395,7 @@ def _drive(
         iters += 1
         if iters > max_iter:
             raise RuntimeError("path run exceeded its iteration budget")
-        eids, dirs = _advance(st, co, draws.next(idx.size), draws)
+        eids, dirs, quiet = _advance(st, co, draws.next(idx.size), draws)
         t_top += co.dt
         if eids.size:
             live = ~done[eids]
@@ -386,6 +430,42 @@ def _drive(
             draws.compress(keep)
             idx, ptr = idx[keep], ptr[keep]
             done = np.zeros(idx.size, dtype=bool)
+        if quiet and left:  # the quiet pass
+            m = min(draws.z.shape[0] - draws.i, _COMPACT_EVERY - 1 - iters % _COMPACT_EVERY, max_iter - iters)
+            taken, rel, t, w = _quiet_rows(st, co, draws.z[draws.i : draws.i + m], horizon)
+            if taken:
+                draws.i += taken
+                iters += taken
+                # summed up to row r, xvar[r + 1] is the variance after row r
+                xvar, a = np.vstack((st.xvar, w)), 0
+                if t[taken].max() >= t_next:
+                    # no path is finished (clocks are below the horizon); a path
+                    # has reached[r] checkpoints before row r (reached[0] = ptr)
+                    reached = np.searchsorted(cps, t, side="right")
+                    reach, hits = np.diff(reached, axis=0), []
+                    reach[taken:] = 0
+                    passes = reach.max(axis=1).tolist()
+                    for r in np.flatnonzero(passes).tolist():
+                        np.cumsum(xvar[a : r + 2], axis=0, out=xvar[a : r + 2])
+                        st.xvar, a = xvar[r + 1], r + 1
+                        for j in range(passes[r]):  # the passes of the while loop above
+                            h = np.flatnonzero(reach[r] > j)
+                            _observe(st, co, rng, h)
+                            hits.append((r, j, h, st.x[h]))
+                    if hits:  # stored as the while loop stores them, once per run
+                        hit_rows, hit_passes, hit_slots, hit_x = zip(*hits)
+                        size = [h.size for h in hit_slots]
+                        rows, slots = np.repeat(hit_rows, size), np.concatenate(hit_slots)
+                        at = idx[slots] * k + reached[rows, slots] + np.repeat(hit_passes, size)
+                        after = rows + 1, slots
+                        moved = {"t": t[after], "rel": rel[after], "x": np.concatenate(hit_x)}
+                        for f, arr in cp.items():
+                            arr[at] = moved[f] if f in moved else getattr(st, f)[slots]
+                    ptr = reached[taken]
+                    t_cp = cps[ptr].min()
+                    t_next = min(horizon, t_cp)
+                np.cumsum(xvar[a : taken + 1], axis=0, out=xvar[a : taken + 1])
+                st.rel, st.t, st.xvar, t_top = rel[taken], t[taken], xvar[taken], t[taken].max()
     cp = {f: arr.reshape(n, k) for f, arr in cp.items()}
     events = np.array(ev_path, np.int64), np.array(ev_dir, np.int64), np.array(ev_child, np.int16)
     return _Kept(final, cp, *events, np.array(ev_time), zero_visits)
@@ -545,11 +625,13 @@ def _final_vertex(start: TreeVertex, dirs: list[int], childs: list[int]) -> Tree
     return TreeVertex(PadicRational(p, num, shift), k - shift)
 
 
-def _tree_point(anchor: TreeVertex, side: int, child: int, rel: float) -> TreePoint:
+def _tree_point(
+    anchor: TreeVertex, side: int, child: int, rel: float, successor=TreeVertex.successor
+) -> TreePoint:
     if side == 0 or rel == 0.0:
         return TreePoint.at_vertex(anchor)
     if side > 0:
-        return TreePoint(anchor.successor(child), rel)
+        return TreePoint(successor(anchor, child), rel)
     return TreePoint(anchor, 1.0 + rel)
 
 
@@ -611,18 +693,27 @@ def simulate_path(
             states.append(state)
     states.append(tuple(kept.final[f].item() for f in cols))
     anchors = rebuild_vertices(params.p, kept.ev_dir, kept.ev_child)
+    successor = functools.cache(TreeVertex.successor)  # records above an anchor share it
+    distance = _origin_distance(params) if with_distance else None
     records = []
     for t, x, level, rel, side, child, k in states:
-        w = _tree_point(anchors[k], side, child, rel)
-        d = distance_to_origin(params, x, w) if with_distance else None
+        w = _tree_point(anchors[k], side, child, rel, successor)
+        d = distance(x, w) if distance else None
         records.append(TrajectoryRecord(t, x, level + rel, w.upper, k, d))
     return records
 
 
+def _origin_distance(params: ModelParams):
+    """The distance from (x, w) to the base point, as a function of (x, w)
+    with the geometry and the base point built once."""
+    geo = HTParams(params.q, params.p)
+    base = origin(geo)
+    return lambda x, w: ht_distance(geo, HTPoint(float(x), w), base)
+
+
 def distance_to_origin(params: ModelParams, x: float, w: TreePoint) -> float:
     """Distance from (x, w) to the base point."""
-    geo = HTParams(params.q, params.p)
-    return ht_distance(geo, HTPoint(float(x), w), origin(geo))
+    return _origin_distance(params)(x, w)
 
 
 def final_points_and_distances(
@@ -632,4 +723,5 @@ def final_points_and_distances(
     that index, and its distance to the origin there."""
     points = final_tree_points(run, checkpoint=checkpoint)
     x = run.x if checkpoint is None else run.checkpoint_x[:, checkpoint]
-    return points, np.array([distance_to_origin(run.params, xi, w) for xi, w in zip(x, points)])
+    distance = _origin_distance(run.params)
+    return points, np.array([distance(xi, w) for xi, w in zip(x, points)])

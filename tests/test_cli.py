@@ -55,6 +55,9 @@ class TestFlagRanges:
             (["escape", *_MODEL, "--horizon", "nan"], "--horizon"),
             (["exit-measure", *_MODEL, "--start-x", "nan"], "--start-x"),
             (["exit-measure", *_MODEL, "--start-x=-inf"], "--start-x"),
+            # q**level overflows at level 1024 for q = 2; the bound is half that
+            (["exit-measure", *_MODEL, "--start-level", "1100"], "--start-level"),
+            (["exit-measure", *_MODEL, "--start-level=-513"], "--start-level"),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(self, capsys, argv, flag):
@@ -210,6 +213,21 @@ class TestAnalysisCommands:
         payload = json.loads(out)
         assert len(payload["line_masses"]) == 3
         assert sum(payload["line_masses"]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("level", ["400", "-512"])
+    def test_exit_measure_far_from_the_base_line(self, capsys, level):
+        # the same draws pulled back from level 400 (abscissae near 2**400,
+        # whose cubes overflow) or -512 read as from level 0
+        flags = [*_MODEL, "--samples", "50", "--dt", "1e-3", "--seed", "3"]
+        reports = []
+        for start in ("0", level):
+            code, out = run_cli(capsys, "exit-measure", *flags, "--start-level", start)
+            assert code == 0
+            reports.append(json.loads(out))
+        base, far = reports
+        assert far["line_masses"] == base["line_masses"]
+        assert far["x_skewness"] == pytest.approx(base["x_skewness"], rel=1e-9)
+        assert far["x_summary"]["variance"] == pytest.approx(base["x_summary"]["variance"], rel=1e-9)
 
     def test_boundary_critical(self, capsys):
         code, out = run_cli(

@@ -19,6 +19,7 @@ from treebolic.pathsim import (
     _drive,
     _final_vertex,
     _observe,
+    _quiet_rows,
     _tree_point,
     distance_to_origin,
     final_tree_points,
@@ -105,7 +106,7 @@ def _one_step(params, dt, rng, rel=0.0, x=0.0):
     """One kernel step of a single planar path anchored at the root line."""
     st = _Arrays(1, 0, rel, x)
     draws = _DrawBlock(rng)
-    eids, dirs = _advance(st, _coeffs(params, dt), draws.next(1), draws)
+    eids, dirs, _ = _advance(st, _coeffs(params, dt), draws.next(1), draws)
     return st, eids, dirs
 
 
@@ -214,7 +215,7 @@ class TestKernelProperties:
             draws.taken = []
             on_line, rel0, level, t = st.on_line, st.rel, st.level.copy(), st.t.copy()
             try:
-                eids, dirs = _advance(st, co, z, draws)
+                eids, dirs, quiet = _advance(st, co, z, draws)
                 error = False
             except NumericalError:
                 error = True
@@ -226,6 +227,10 @@ class TestKernelProperties:
             assert error == too_far
             if error:
                 return
+            if quiet:  # the plain Euler step for every path, with no draws
+                assert not draws.taken and not eids.size and not st.on_line.any()
+                assert np.array_equal(st.rel, rel0 + (co.vol_sdt * z + co.mu_dt))
+                assert np.all(np.abs(st.rel) <= 1.0 - co.near_cut)
             assert np.all(np.abs(st.rel) < 1.0)
             assert np.all(st.rel[st.on_line] == 0.0) and np.all(st.side == np.sign(st.rel))
             child = st.child[st.side > 0]
@@ -252,16 +257,25 @@ class TestKernelProperties:
         assert np.all(run.t >= horizon) and np.all(run.t < horizon + dt)
 
     def test_a_finished_path_takes_no_more_steps(self, monkeypatch):
-        # 50 steps to the horizon, not a multiple of the compaction interval
-        clocks = []
+        # 50 steps to the horizon, not a multiple of the compaction interval;
+        # a step is a kernel call or a row taken by the quiet pass
+        clocks, rows = [], []
 
         def advance(st, *args):
             clocks.append(st.t.copy())
+            rows.append(1)
             return _advance(st, *args)
 
+        def quiet_rows(st, *args):
+            clocks.append(st.t.copy())
+            taken = _quiet_rows(st, *args)
+            rows.append(taken[0])
+            return taken
+
         monkeypatch.setattr(pathsim, "_advance", advance)
+        monkeypatch.setattr(pathsim, "_quiet_rows", quiet_rows)
         run = run_batch(DRIFTED, SimConfig(dt=1e-3, horizon=0.05), 1, RngStream(23).generator())
-        assert run.t[0] >= 0.05 and len(clocks) >= 50
+        assert run.t[0] >= 0.05 and sum(rows) >= 50
         assert all(t.size == 1 and t[0] < 0.05 for t in clocks)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -289,6 +303,98 @@ class TestKernelProperties:
         # cp + dt, which it reaches only by rounding
         assert np.all(t >= cps) and np.all(t <= cps + dt)
         assert np.all(np.diff(t, axis=1) >= 0)
+
+
+def _no_rows(st, co, z, horizon):
+    """The quiet pass, taking no rows: every step is a kernel call."""
+    return _quiet_rows(st, co, z[:0], horizon)
+
+
+def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, cps):
+    """Everything _drive keeps (bytewise) and the generator state after it,
+    with the quiet pass and without, and the rows the pass took."""
+    taken = []
+
+    def quiet_rows(*args):
+        rows = _quiet_rows(*args)
+        taken.append(rows[0])
+        return rows
+
+    kept = []
+    for rows in (quiet_rows, _no_rows):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pathsim, "_quiet_rows", rows)
+            rng = make_rng()
+            try:
+                k = _drive(params, dt, rng, _Arrays(width, 0, rel), horizon=horizon, checkpoints=cps)
+            except NumericalError as exc:
+                kept.append(repr(exc))
+                continue
+        arrays = {
+            **{"final " + f: a for f, a in k.final.items()},
+            **{"checkpoint " + f: a for f, a in k.checkpoints.items()},
+            **{f: getattr(k, f) for f in ("ev_path", "ev_dir", "ev_child", "ev_time", "zero_visits")},
+        }
+        kept.append(({f: (a.dtype, a.shape, a.tobytes()) for f, a in arrays.items()}, rng.bit_generator.state))
+    return kept[0], kept[1], sum(taken)
+
+
+class TestQuietPass:
+    """_drive takes the rows on which every path is on the regular branch in
+    one vectorized pass; it must keep what the kernel, row by row, keeps."""
+
+    def test_the_pass_changes_nothing(self):
+        one_path_rows = []
+
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        @given(
+            params=_PARAMS.filter(lambda m: m.q >= 1.5),
+            dt=hst.floats(1e-4, 1e-2),
+            width=hst.sampled_from([1, 1, 2, 3, 8, 40]),
+            rel=hst.sampled_from([0.0, 0.0, -0.5, 0.3]),
+            steps=hst.integers(20, 400),
+            grid=hst.one_of(
+                hst.tuples(hst.just("grid"), hst.integers(1, 3)),
+                hst.tuples(hst.just("random"), hst.lists(hst.floats(0.0, 1.0), max_size=40, unique=True)),
+            ),
+            first_exit=hst.booleans(),
+            seed=hst.integers(0, 2**32 - 1),
+        )
+        def check(params, dt, width, rel, steps, grid, first_exit, seed):
+            horizon = steps * dt
+            kind, value = grid
+            if kind == "grid":  # multiples of stride * dt below the horizon, as simulate_path sets them
+                cps = value * dt * np.arange(1, int(horizon / (value * dt)) + 2)
+                cps = cps[cps < horizon]
+            else:
+                cps = np.unique(np.asarray(value, dtype=float) * horizon)
+            if first_exit:
+                width = min(width, 8)  # a wide batch runs until its slowest first exit
+            with_pass, without, taken = _drive_with_and_without_the_pass(
+                params, dt, lambda: np.random.default_rng(seed), width, rel, None if first_exit else horizon, cps
+            )
+            assert with_pass == without
+            if width == 1:
+                one_path_rows.append(taken)
+
+        check()
+        # not vacuous: the pass took rows in most one-path runs (a path can
+        # stay near its line or the boundary for all of a short run)
+        assert sum(rows > 0 for rows in one_path_rows) > 0.8 * len(one_path_rows) > 0
+
+    @pytest.mark.parametrize(
+        "seed, dt, horizon", [(15, 7e-4, 0.5), (16, 1e-4, 0.3), (0, 7e-4, 0.5)]
+    )
+    def test_stride_one_rounding_cases(self, seed, dt, horizon):
+        # one path, a checkpoint at every multiple of dt: one step may reach
+        # two checkpoints by rounding, and the last may be the final state
+        cps = dt * np.arange(1, int(horizon / dt) + 2)
+        cps = cps[cps < horizon]
+        with_pass, without, taken = _drive_with_and_without_the_pass(
+            DRIFTED, dt, RngStream(seed).generator, 1, 0.0, horizon, cps
+        )
+        assert with_pass == without
+        assert taken > 0.5 * horizon / dt
 
 
 class TestSymmetries:
