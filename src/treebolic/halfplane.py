@@ -21,16 +21,14 @@ def _check(z: complex) -> complex:
 
 
 def hyp_distance(z1: complex, z2: complex) -> float:
-    """Hyperbolic distance acosh(1 + |z1 - z2|^2 / (2 y1 y2)).
+    """Hyperbolic distance 2 asinh(|z1 - z2| / (2 sqrt(y1 y2))).
 
-    The acosh argument is clamped at 1 so coincident points cannot produce
-    a domain error from rounding.
+    This equals acosh(1 + |z1 - z2|^2 / (2 y1 y2)) but keeps its relative
+    accuracy for nearby points, where the acosh argument rounds to 1.
     """
     z1, z2 = _check(z1), _check(z2)
-    dx = z1.real - z2.real
-    dy = z1.imag - z2.imag
-    arg = 1.0 + (dx * dx + dy * dy) / (2.0 * z1.imag * z2.imag)
-    return math.acosh(max(arg, 1.0))
+    chord = math.hypot(z1.real - z2.real, z1.imag - z2.imag)
+    return 2.0 * math.asinh(chord / (2.0 * math.sqrt(z1.imag * z2.imag)))
 
 
 def apex(z1: complex, z2: complex) -> complex:

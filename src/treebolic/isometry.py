@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .padic import PadicRational
 from .space import HTPoint
-from .tree import TreeEnd, TreePoint, TreeVertex
+from .tree import TreePoint, TreeVertex
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,6 @@ class AffH:
     @classmethod
     def identity(cls, q: float) -> "AffH":
         return cls(q, 0, 0.0)
-
-    def apply(self, z: complex) -> complex:
-        return self.q**self.n * z + self.b
 
     def compose(self, other: "AffH") -> "AffH":
         if self.q != other.q:
@@ -82,9 +79,6 @@ class AffT:
 
     def apply_point(self, w: TreePoint) -> TreePoint:
         return TreePoint(self.apply_vertex(w.upper), w.offset)
-
-    def apply_end(self, xi: TreeEnd) -> TreeEnd:
-        return xi if xi.is_omega else TreeEnd(self.apply_scalar(xi.value))
 
     def compose(self, other: "AffT") -> "AffT":
         if self.p != other.p:

@@ -4,10 +4,10 @@ A point carries a real abscissa x and a metric-tree point w; its height in
 the half-plane is q**hor(w) by construction, so the two coordinates can
 never disagree.  The distance between points on a common branch is plain
 hyperbolic distance; otherwise every path must cross the line at the level
-of the tree confluent, and the crossing abscissa is found by a sampled and
-ternary-refined bracketed search (the crossing objective can have one
-valley near each abscissa, so a single unimodal search is not enough; see
-the property tests).
+of the tree confluent.  A geodesic crosses that line where its two arcs meet
+it at equal angles (a reflection law), so the crossing abscissa is a real
+root of a cubic or an endpoint of the bracket; the crossing objective can
+have one valley near each abscissa, and every valley bottom is such a root.
 
 The reference measures have the densities
 
@@ -27,10 +27,6 @@ from .tree import TreePoint, TreeVertex, confluent_point, tree_distance
 
 #: Half the sandwich gap: log(1 + sqrt 2).
 DELTA = math.log(1.0 + math.sqrt(2.0))
-
-_MAX_TERNARY_ITER = 400
-#: Absolute tolerance of the crossing-abscissa search.
-_CROSSING_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -69,57 +65,49 @@ def z_of(params: HTParams, zf: HTPoint) -> complex:
     return complex(zf.x, params.q**zf.w.hor)
 
 
-# relative offsets from both bracket endpoints at which the crossing
-# objective is sampled before refinement; geometric so narrow valleys that
-# hug an endpoint are resolved at every scale
-_GRID_OFFSETS = tuple(10.0**-k for k in range(16, 0, -1)) + (0.2, 0.3, 0.4, 0.5)
-
-
-def _ternary_min(f, lo: float, hi: float, tol: float) -> float:
-    for _ in range(_MAX_TERNARY_ITER):
-        if hi - lo <= tol:
-            break
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if f(m1) <= f(m2):
-            hi = m2
-        else:
-            lo = m1
-    return f(0.5 * (lo + hi))
+def _cubic_roots(p: float, q: float) -> list[float]:
+    """Real roots of t**3 + p t + q (one root, or all three when they are real)."""
+    disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+    if p < 0.0 and disc <= 0.0:
+        r = 2.0 * math.sqrt(-p / 3.0)
+        phi = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * r))))
+        return [r * math.cos((phi - 2.0 * math.pi * k) / 3.0) for k in range(3)]
+    a = -math.copysign((abs(q) / 2.0 + math.sqrt(disc)) ** (1.0 / 3.0), q)
+    return [a - p / (3.0 * a)] if a else [0.0]
 
 
 def _crossing_min(z1: complex, z2: complex, y_cross: float) -> float:
     """min over x of d(z1, x + i y_cross) + d(x + i y_cross, z2).
 
     Both legs decrease strictly as x approaches the nearer abscissa from
-    outside, so every local minimum lies between the two abscissae.  Inside
-    that bracket the objective need not be unimodal: for horizontally
-    distant points it has one valley near each abscissa with a hump in
-    between.  The bracket is therefore sampled on a grid concentrated at
-    both endpoints and each sampled basin is refined by ternary search.
-    The grid is relative to the bracket, which makes the returned value
-    equivariant under the affine isometries up to rounding.
+    outside, so the minimum lies in [x1, x2] (x1 <= x2).  At an interior
+    stationary point c the two arcs meet the horizontal line at equal
+    angles, so their centres are mirror images in the vertical line through
+    c: z2 reflected in that line lies on the arc from c to z1.  Eliminating
+    the common radius leaves, with w = x2 - x1, Y = y_cross and
+    t = x - (x1 + x2) / 2, the cubic
+
+        t**3 + p t + q = 0,  p = (y1**2 + y2**2 - 2 Y**2) / 2 - w**2 / 4,
+                             q = w (y2**2 - y1**2) / 4.
+
+    The minimum is taken over x1, x2 and the cubic's real roots clamped to
+    the bracket; a spurious candidate only evaluates the objective, so it
+    cannot undercut the minimum.  The cubic is homogeneous, so it is solved
+    in units of max(w, y1, y2), where no power overflows.
     """
-
-    def f(x: float) -> float:
-        zc = complex(x, y_cross)
-        return hyp_distance(z1, zc) + hyp_distance(zc, z2)
-
-    x1, x2 = sorted((z1.real, z2.real))
-    width = x2 - x1
-    if width <= _CROSSING_TOL:
-        return f(0.5 * (x1 + x2))
-    xtol = max(_CROSSING_TOL, width * 1e-13)
-
-    offsets = sorted({s for u in _GRID_OFFSETS for s in (u, 1.0 - u)})
-    xs = [x1] + [x1 + s * width for s in offsets] + [x2]
-    fs = [f(x) for x in xs]
-    best = min(fs)
-    last = len(xs) - 1
-    for i in range(last + 1):
-        if (i == 0 or fs[i] <= fs[i - 1]) and (i == last or fs[i] <= fs[i + 1]):
-            best = min(best, _ternary_min(f, xs[max(i - 1, 0)], xs[min(i + 1, last)], xtol))
-    return best
+    if z2.real < z1.real:
+        z1, z2 = z2, z1
+    x1, x2 = z1.real, z2.real
+    s = max(x2 - x1, z1.imag, z2.imag)
+    w, y1, y2, y = (x2 - x1) / s, z1.imag / s, z2.imag / s, y_cross / s
+    p = (y1 * y1 + y2 * y2 - 2.0 * y * y) / 2.0 - w * w / 4.0
+    q = w * (y2 * y2 - y1 * y1) / 4.0
+    mid = 0.5 * (x1 + x2)
+    xs = [x1, x2] + [min(max(mid + s * t, x1), x2) for t in _cubic_roots(p, q)]
+    return min(
+        hyp_distance(z1, complex(x, y_cross)) + hyp_distance(complex(x, y_cross), z2)
+        for x in xs
+    )
 
 
 def ht_distance(params: HTParams, a: HTPoint, b: HTPoint) -> float:

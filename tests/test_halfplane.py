@@ -32,6 +32,14 @@ class TestDistance:
                 hyp_distance(z[0], z[1]) + hyp_distance(z[1], z[2]) + 1e-12
             )
 
+    def test_nearby_points_keep_their_digits(self):
+        # horizontal: 2 asinh(gap / 2) = gap to 1e-9; vertical: log(1 + gap / 2)
+        for gap in (1e-12, 1e-9, 1e-7, 1e-4):
+            assert hyp_distance(1j, gap + 1j) == pytest.approx(gap, rel=1e-9)
+            assert hyp_distance(2j, complex(0, 2 + gap)) == pytest.approx(
+                math.log1p(gap / 2), rel=1e-12
+            )
+
     def test_rejects_lower_half_plane(self):
         with pytest.raises(ValueError):
             hyp_distance(1j, 1 - 1j)

@@ -147,6 +147,69 @@ class TestCrossingSearch:
                 seen_two += 1
         assert seen_two > 0  # the two-valley shape genuinely occurs
 
+    @staticmethod
+    def _grid_min(z1, z2, yc, lo, hi):
+        xs = np.linspace(lo, hi, 40001)
+        return min(
+            hyp_distance(z1, complex(x, yc)) + hyp_distance(complex(x, yc), z2) for x in xs
+        )
+
+    def test_equal_abscissae(self):
+        # w = 0: the crossing sits straight below both points
+        a, b = _pt(0.7, ROOT.successors()[0], 0.4), _pt(0.7, ROOT.successors()[1], 0.9)
+        z1, z2 = z_of(GEO, a), z_of(GEO, b)
+        d = ht_distance(GEO, a, b)
+        assert d == hyp_distance(z1, 0.7 + 1j) + hyp_distance(0.7 + 1j, z2)
+        grid = self._grid_min(z1, z2, 1.0, -1.3, 2.7)
+        assert grid - 1e-4 <= d <= grid + 1e-9
+
+    def test_point_next_to_the_crossing_line(self):
+        # a sits 1e-9 (in level) above the line Y = 1 it must cross, so the
+        # distance exceeds the hyperbolic one by at most 2 d(z1, x1 + iY)
+        a, b = _pt(0.3, ROOT.successors()[0], 1e-9), _pt(2.5, ROOT.successors()[1], 0.6)
+        z1, z2 = z_of(GEO, a), z_of(GEO, b)
+        d = ht_distance(GEO, a, b)
+        h = hyp_distance(z1, z2)
+        assert h <= d <= h + 2.0 * math.log(z1.imag)
+        grid = self._grid_min(z1, z2, 1.0, 0.3, 2.5)
+        assert grid - 1e-4 <= d <= grid + 1e-9
+
+    def test_two_valleys_far_from_the_origin(self):
+        # a two-valley pair near x = 1e3 agrees with its translate near 0
+        # and with the grid; translations are isometries
+        lo, hi = 1000.25, 1012.0
+        z1, z2 = complex(lo, 2.0), complex(hi, 2.0)
+        xs = np.linspace(lo, hi, 2001)
+        fs = np.array(
+            [hyp_distance(z1, complex(x, 1.0)) + hyp_distance(complex(x, 1.0), z2) for x in xs]
+        )
+        assert ((fs[1:-1] < fs[:-2]) & (fs[1:-1] < fs[2:])).sum() == 2
+        ends = ROOT.successors()
+        d = ht_distance(GEO, _pt(lo, ends[0]), _pt(hi, ends[1]))
+        d0 = ht_distance(GEO, _pt(0.25, ends[0]), _pt(12.0, ends[1]))
+        assert d == pytest.approx(d0, rel=1e-12)
+        grid = self._grid_min(z1, z2, 1.0, lo, hi)
+        assert grid - 1e-4 <= d <= grid + 1e-9
+
+    def test_far_above_the_base_line(self):
+        # z -> 2**300 z paired with a 300-level shift is an isometry
+        v = ROOT
+        for _ in range(300):
+            v = v.successors()[0]
+        far = [_pt(s * 2.0**300, u, 0.5) for s, u in zip((0.3, 2.1), v.successors())]
+        near = [_pt(s, u, 0.5) for s, u in zip((0.3, 2.1), ROOT.successors())]
+        assert ht_distance(GEO, *far) == pytest.approx(ht_distance(GEO, *near), rel=1e-12)
+
+    def test_never_below_the_half_plane_distance(self):
+        # the projection to the half-plane is 1-Lipschitz; offsets near 0
+        # put points next to the line they must cross
+        rng = np.random.default_rng(7)
+        for _ in range(2000):
+            a, b = _random_point(rng), _random_point(rng)
+            a = HTPoint(a.x, TreePoint(a.w.upper, 10.0 ** -rng.uniform(0, 12)))
+            d, h = ht_distance(GEO, a, b), hyp_distance(z_of(GEO, a), z_of(GEO, b))
+            assert d >= h * (1.0 - 1e-15)
+
 
 class TestSandwich:
     def test_sibling_case_equality(self):
