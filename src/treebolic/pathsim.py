@@ -42,10 +42,11 @@ drifted Brownian step: three additions and no uniforms.  After a step on
 which every path took that regular branch, the loop takes the next rows of
 the draw block in one vectorized pass (`_quiet_rows`: running sums of the
 offsets, clocks and abscissa variances) for as long as every path stays
-regular and below the horizon.  Running sums add in the kernel's order,
-and a checkpoint reached inside the pass is observed at its own row with
-the loop's own draws, so every output and the generator's state are
-bit-identical.  A one-path trajectory takes most of its steps this way.
+regular and below the horizon.  Running sums add in the kernel's order, and
+the checkpoints reached inside the pass are observed in one draw
+(`_observe_run`) whose normals go to them in the order the loop would draw
+them, so every output and the generator's state are bit-identical.  A
+one-path trajectory takes most of its steps this way.
 """
 
 from __future__ import annotations
@@ -323,6 +324,46 @@ def _quiet_rows(st: _Arrays, co: _Coeffs, z: np.ndarray, horizon: float | None):
     return taken, rel, t, np.exp(co.two_log_q * rel[:-1])
 
 
+def _observe_run(st: _Arrays, co: _Coeffs, rng: np.random.Generator, xvar: np.ndarray, reached: np.ndarray):
+    """Observe the abscissae at the checkpoints reached inside a quiet run,
+    with all their normals in one draw.
+
+    xvar (rows + 1, n) holds the carried variance and then each row's, and
+    reached (rows + 1, n) the checkpoints each path has reached before each
+    row and after the last.  A path reaching c checkpoints in one row is
+    observed c times there, the later ones with no variance.  Variances add
+    in row order from the path's last observation, and the normals go to
+    the hits by row, pass and slot, the order in which the loop's
+    checkpoint passes draw them.  Leaves st.x and st.xvar as they are after
+    the run; returns each hit's row, slot, pass and abscissa, in that order."""
+    end, n = xvar.shape[0] - 1, xvar.shape[1]
+    reach = np.diff(reached, axis=0)
+    depth = int(reach.max(initial=0))
+    rows, passes, slots = np.nonzero(reach[:, None, :] > np.arange(depth)[:, None])
+    # a first pass at row r closes its path's segment at index r + 1 of
+    # xvar and the next one starts at r + 2; a later pass closes an empty
+    # one, and the run's end closes each path's last (empty after a hit on
+    # the last row)
+    start = np.zeros((end + 2, n), np.int64)
+    start[rows + 2, slots] = rows + 2
+    start = np.maximum.accumulate(start, axis=0)
+    start = np.concatenate((np.where(passes == 0, start[rows + 1, slots], end + 1), start[end + 1]))
+    close = np.concatenate((rows + 1, np.full(n, end)))
+    owner = np.concatenate((slots, np.arange(n)))
+    # zeros before a segment's start leave its running sum exact
+    segs = np.where(np.arange(end + 1) >= start[:, None], xvar[:, owner].T, 0.0)
+    acc = np.cumsum(segs, axis=1)[np.arange(close.size), close]
+    sd = np.sqrt(acc[: rows.size]) * np.exp(0.5 * co.two_log_q * st.level[slots])
+    # each path's abscissae: the running sum of its increments by row and
+    # pass, with -0.0 (which adds exactly, also to -0.0) where it has none
+    x = np.full((end * depth + 1, n), -0.0)
+    at = rows * depth + passes + 1
+    x[0], x[at, slots] = st.x, co.x_scale * sd * rng.standard_normal(rows.size)
+    x = np.cumsum(x, axis=0)
+    st.x, st.xvar = x[-1], acc[rows.size :]
+    return rows, slots, passes, x[at, slots]
+
+
 @dataclass
 class _Kept:
     """What `_drive` kept, per state field: each path's finished state
@@ -357,7 +398,8 @@ def _drive(
     event.  Abscissae are observed before they are kept.
 
     Rows taken by the quiet pass (see the module docstring) count as
-    iterations; the pass stops before the next compaction.
+    iterations; the pass stops before the next compaction, and the
+    checkpoints reached inside it are observed in one draw.
     """
     check_dt(dt)
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
@@ -436,36 +478,23 @@ def _drive(
             if taken:
                 draws.i += taken
                 iters += taken
-                # summed up to row r, xvar[r + 1] is the variance after row r
-                xvar, a = np.vstack((st.xvar, w)), 0
+                xvar = np.vstack((st.xvar, w[:taken]))  # the carried variance, then each row's
                 if t[taken].max() >= t_next:
                     # no path is finished (clocks are below the horizon); a path
                     # has reached[r] checkpoints before row r (reached[0] = ptr)
-                    reached = np.searchsorted(cps, t, side="right")
-                    reach, hits = np.diff(reached, axis=0), []
-                    reach[taken:] = 0
-                    passes = reach.max(axis=1).tolist()
-                    for r in np.flatnonzero(passes).tolist():
-                        np.cumsum(xvar[a : r + 2], axis=0, out=xvar[a : r + 2])
-                        st.xvar, a = xvar[r + 1], r + 1
-                        for j in range(passes[r]):  # the passes of the while loop above
-                            h = np.flatnonzero(reach[r] > j)
-                            _observe(st, co, rng, h)
-                            hits.append((r, j, h, st.x[h]))
-                    if hits:  # stored as the while loop stores them, once per run
-                        hit_rows, hit_passes, hit_slots, hit_x = zip(*hits)
-                        size = [h.size for h in hit_slots]
-                        rows, slots = np.repeat(hit_rows, size), np.concatenate(hit_slots)
-                        at = idx[slots] * k + reached[rows, slots] + np.repeat(hit_passes, size)
-                        after = rows + 1, slots
-                        moved = {"t": t[after], "rel": rel[after], "x": np.concatenate(hit_x)}
-                        for f, arr in cp.items():
-                            arr[at] = moved[f] if f in moved else getattr(st, f)[slots]
+                    reached = np.searchsorted(cps, t[: taken + 1], side="right")
+                    rows, slots, passes, x = _observe_run(st, co, rng, xvar, reached)
+                    at = idx[slots] * k + reached[rows, slots] + passes
+                    after = rows + 1, slots
+                    moved = {"t": t[after], "rel": rel[after], "x": x}
+                    for f, arr in cp.items():
+                        arr[at] = moved[f] if f in moved else getattr(st, f)[slots]
                     ptr = reached[taken]
                     t_cp = cps[ptr].min()
                     t_next = min(horizon, t_cp)
-                np.cumsum(xvar[a : taken + 1], axis=0, out=xvar[a : taken + 1])
-                st.rel, st.t, st.xvar, t_top = rel[taken], t[taken], xvar[taken], t[taken].max()
+                else:
+                    st.xvar = np.cumsum(xvar, axis=0)[taken]
+                st.rel, st.t, t_top = rel[taken], t[taken], t[taken].max()
     cp = {f: arr.reshape(n, k) for f, arr in cp.items()}
     events = np.array(ev_path, np.int64), np.array(ev_dir, np.int64), np.array(ev_child, np.int16)
     return _Kept(final, cp, *events, np.array(ev_time), zero_visits)

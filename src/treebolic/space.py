@@ -119,7 +119,7 @@ def ht_distance(params: HTParams, a: HTPoint, b: HTPoint) -> float:
     """
     conf = confluent_point(a.w, b.w)
     z1, z2 = z_of(params, a), z_of(params, b)
-    if conf == a.w or conf == b.w:
+    if conf is a.w or conf is b.w:
         return hyp_distance(z1, z2)
     y_cross = params.q**conf.hor
     return _crossing_min(z1, z2, y_cross)

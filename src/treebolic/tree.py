@@ -9,7 +9,8 @@ t in (0, 1] measured from the predecessor, so a vertex is the point with
 t = 1 on its lower edge.
 
 Confluents (last common points of the rays toward omega) reduce to
-valuations of center differences, which makes distances O(1) and exact.
+valuations of center differences, taken on Python integers (the centers
+scaled to a common denominator), which makes distances O(1) and exact.
 """
 
 from __future__ import annotations
@@ -139,12 +140,27 @@ OMEGA = TreeEnd()
 
 
 def confluent(v: TreeVertex, w: TreeVertex) -> TreeVertex:
-    """Maximal common ancestor of two vertices with respect to omega."""
+    """Maximal common ancestor of two vertices with respect to omega: v or w
+    itself when one lies on the other's ray, else a new vertex."""
     if v.p != w.p:
         raise ValueError("base mismatch")
-    j = min(v.level, w.level, (v.center - w.center).valuation())
-    # valuation is +inf when the centers agree, so j is always an int here
-    return TreeVertex(v.center, int(j))
+    # the level is min(level v, level w, valuation of the center
+    # difference); scaled by p**e the difference is the integer d, whose
+    # factors of p count only up to the lower level
+    j, p, a, b = min(v.level, w.level), v.p, v.center, w.center
+    e = max(a.denom_exp, b.denom_exp)
+    d = a.num * p ** (e - a.denom_exp) - b.num * p ** (e - b.denom_exp)
+    if d:
+        k = -e
+        while k < j and d % p == 0:
+            d //= p
+            k += 1
+        j = min(j, k)
+    if j == v.level:
+        return v
+    if j == w.level:
+        return w
+    return TreeVertex(a, j)
 
 
 def _as_point(w: TreeVertex | TreePoint) -> TreePoint:
@@ -152,15 +168,17 @@ def _as_point(w: TreeVertex | TreePoint) -> TreePoint:
 
 
 def confluent_point(w1: TreeVertex | TreePoint, w2: TreeVertex | TreePoint) -> TreePoint:
-    """Confluent of two metric-tree points: where their rays to omega merge."""
+    """Confluent of two metric-tree points: where their rays to omega merge.
+    When one lies on the other's ray it is that point, the argument itself
+    if it is a TreePoint."""
     a, b = _as_point(w1), _as_point(w2)
     ua, ub = a.upper, b.upper
-    if ua == ub:
-        return a if a.offset <= b.offset else b
     c = confluent(ua, ub)
-    if c == ua:
+    if c.level == ua.level == ub.level:  # one edge
+        return a if a.offset <= b.offset else b
+    if c.level == ua.level:
         return a
-    if c == ub:
+    if c.level == ub.level:
         return b
     return TreePoint.at_vertex(c)
 

@@ -19,6 +19,7 @@ from treebolic.pathsim import (
     _drive,
     _final_vertex,
     _observe,
+    _observe_run,
     _quiet_rows,
     _tree_point,
     distance_to_origin,
@@ -310,23 +311,36 @@ def _no_rows(st, co, z, horizon):
     return _quiet_rows(st, co, z[:0], horizon)
 
 
-def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, cps):
+def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, cps, level=0):
     """Everything _drive keeps (bytewise) and the generator state after it,
-    with the quiet pass and without, and the rows the pass took."""
-    taken = []
+    with the quiet pass and without, the rows the pass took and the cases
+    its checkpoint observations met (see _OBSERVED)."""
+    taken, met = [], set()
 
     def quiet_rows(*args):
         rows = _quiet_rows(*args)
         taken.append(rows[0])
         return rows
 
+    def observe_run(st, co, rng, xvar, reached):
+        rows, slots, passes, x = _observe_run(st, co, rng, xvar, reached)
+        cases = (
+            passes.max(initial=0) > 0,
+            (rows == len(xvar) - 2).any(),
+            0 < np.unique(slots).size < xvar.shape[1],
+            (st.level[slots] != 0).any(),
+        )
+        met.update(case for case, seen in zip(_OBSERVED, cases) if seen)
+        return rows, slots, passes, x
+
     kept = []
     for rows in (quiet_rows, _no_rows):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pathsim, "_quiet_rows", rows)
+            mp.setattr(pathsim, "_observe_run", observe_run)
             rng = make_rng()
             try:
-                k = _drive(params, dt, rng, _Arrays(width, 0, rel), horizon=horizon, checkpoints=cps)
+                k = _drive(params, dt, rng, _Arrays(width, level, rel), horizon=horizon, checkpoints=cps)
             except NumericalError as exc:
                 kept.append(repr(exc))
                 continue
@@ -336,7 +350,32 @@ def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, 
             **{f: getattr(k, f) for f in ("ev_path", "ev_dir", "ev_child", "ev_time", "zero_visits")},
         }
         kept.append(({f: (a.dtype, a.shape, a.tobytes()) for f, a in arrays.items()}, rng.bit_generator.state))
-    return kept[0], kept[1], sum(taken)
+    return kept[0], kept[1], sum(taken), met
+
+
+#: what a quiet run's checkpoint observation can meet: a path reaching two
+#: checkpoints in one row, a hit on the run's last row, a path with no hit
+#: while another has one, and a path off level 0 (its abscissa scale is not 1)
+_OBSERVED = ("two passes in a row", "a hit on the last row", "a path without a hit", "a hit off level 0")
+
+
+def _row_by_row_observation(st, co, rng, xvar, reached):
+    """The per-row loop that _observe_run replaces: at each row where some
+    path reaches a checkpoint, sum the variances up to that row and observe
+    once per checkpoint reached, one draw per pass."""
+    xvar, a, hits = xvar.copy(), 0, {}
+    reach = np.diff(reached, axis=0)
+    passes = reach.max(axis=1).tolist()
+    for r in np.flatnonzero(passes).tolist():
+        np.cumsum(xvar[a : r + 2], axis=0, out=xvar[a : r + 2])
+        st.xvar, a = xvar[r + 1], r + 1
+        for j in range(passes[r]):
+            h = np.flatnonzero(reach[r] > j)
+            _observe(st, co, rng, h)
+            hits.update({(r, s, j): x for s, x in zip(h.tolist(), st.x[h].tolist())})
+    np.cumsum(xvar[a:], axis=0, out=xvar[a:])
+    st.xvar = xvar[-1]
+    return hits
 
 
 class TestQuietPass:
@@ -344,7 +383,7 @@ class TestQuietPass:
     one vectorized pass; it must keep what the kernel, row by row, keeps."""
 
     def test_the_pass_changes_nothing(self):
-        one_path_rows = []
+        one_path_rows, met = [], set()
 
         @settings(max_examples=60, deadline=None, derandomize=True)
         @given(
@@ -352,15 +391,17 @@ class TestQuietPass:
             dt=hst.floats(1e-4, 1e-2),
             width=hst.sampled_from([1, 1, 2, 3, 8, 40]),
             rel=hst.sampled_from([0.0, 0.0, -0.5, 0.3]),
+            level=hst.sampled_from([0, 0, -2, 3]),
             steps=hst.integers(20, 400),
             grid=hst.one_of(
-                hst.tuples(hst.just("grid"), hst.integers(1, 3)),
+                # spacing in units of dt; below 1, one row reaches two checkpoints
+                hst.tuples(hst.just("grid"), hst.sampled_from([0.4, 1, 2, 3])),
                 hst.tuples(hst.just("random"), hst.lists(hst.floats(0.0, 1.0), max_size=40, unique=True)),
             ),
             first_exit=hst.booleans(),
             seed=hst.integers(0, 2**32 - 1),
         )
-        def check(params, dt, width, rel, steps, grid, first_exit, seed):
+        def check(params, dt, width, rel, level, steps, grid, first_exit, seed):
             horizon = steps * dt
             kind, value = grid
             if kind == "grid":  # multiples of stride * dt below the horizon, as simulate_path sets them
@@ -370,17 +411,44 @@ class TestQuietPass:
                 cps = np.unique(np.asarray(value, dtype=float) * horizon)
             if first_exit:
                 width = min(width, 8)  # a wide batch runs until its slowest first exit
-            with_pass, without, taken = _drive_with_and_without_the_pass(
-                params, dt, lambda: np.random.default_rng(seed), width, rel, None if first_exit else horizon, cps
+            with_pass, without, taken, cases = _drive_with_and_without_the_pass(
+                params, dt, lambda: np.random.default_rng(seed), width, rel, None if first_exit else horizon, cps, level
             )
             assert with_pass == without
+            met.update(cases)
             if width == 1:
                 one_path_rows.append(taken)
 
         check()
         # not vacuous: the pass took rows in most one-path runs (a path can
-        # stay near its line or the boundary for all of a short run)
+        # stay near its line or the boundary for all of a short run), and
+        # its checkpoint observations met every case
         assert sum(rows > 0 for rows in one_path_rows) > 0.8 * len(one_path_rows) > 0
+        assert met == set(_OBSERVED)
+
+    def test_one_draw_observes_as_the_row_loop(self):
+        # random runs of up to 3 paths and 6 rows, each path reaching 0, 1
+        # or 2 checkpoints in a row: the hits, abscissae, variances and the
+        # generator state must equal the row loop's, bytewise
+        gen = np.random.default_rng(5)
+        co = _coeffs(DRIFTED, 1e-3)
+        for seed in range(300):
+            n, rows = int(gen.integers(1, 4)), int(gen.integers(1, 7))
+            reach = gen.integers(0, 3, (rows, n)) * (gen.random((rows, n)) < 0.5)
+            reached = np.cumsum(np.vstack((gen.integers(0, 3, n), reach)), axis=0)
+            xvar = gen.random((rows + 1, n))
+            outs = []
+            for observe in (_row_by_row_observation, _observe_run):
+                st = _Arrays(n, 0, 0.3)
+                st.level[:] = np.arange(n) - 1
+                st.x[:], st.xvar[:] = np.arange(n) * 0.25, xvar[0]
+                rng = np.random.default_rng(seed)
+                hits = observe(st, co, rng, xvar, reached)
+                if observe is _observe_run:
+                    r, s, j, x = hits
+                    hits = dict(zip(zip(r.tolist(), s.tolist(), j.tolist()), x.tolist()))
+                outs.append((hits, st.x.tobytes(), st.xvar.tobytes(), rng.bit_generator.state))
+            assert outs[0] == outs[1]
 
     @pytest.mark.parametrize(
         "seed, dt, horizon", [(15, 7e-4, 0.5), (16, 1e-4, 0.3), (0, 7e-4, 0.5)]
@@ -390,7 +458,7 @@ class TestQuietPass:
         # two checkpoints by rounding, and the last may be the final state
         cps = dt * np.arange(1, int(horizon / dt) + 2)
         cps = cps[cps < horizon]
-        with_pass, without, taken = _drive_with_and_without_the_pass(
+        with_pass, without, taken, _ = _drive_with_and_without_the_pass(
             DRIFTED, dt, RngStream(seed).generator, 1, 0.0, horizon, cps
         )
         assert with_pass == without

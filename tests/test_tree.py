@@ -195,3 +195,84 @@ def test_successor_is_one_of_the_successors(p, level, num, denom, c):
     assert v.successor(c).predecessor() == v
     assert tree_distance(v, v.successor(c)) == 1
     assert len(set(kids)) == p
+
+
+def _valuation_confluent(v, w):
+    """The confluent from the valuation of the center difference in Z[1/p]
+    arithmetic, which builds PadicRational objects: the oracle for the
+    integer valuation."""
+    if v.p != w.p:
+        raise ValueError("base mismatch")
+    j = min(v.level, w.level, (v.center - w.center).valuation())
+    return TreeVertex(v.center, int(j))
+
+
+def _valuation_confluent_point(a, b):
+    if a.upper == b.upper:
+        return a if a.offset <= b.offset else b
+    c = _valuation_confluent(a.upper, b.upper)
+    if c == a.upper:
+        return a
+    if c == b.upper:
+        return b
+    return TreePoint.at_vertex(c)
+
+
+def _as_point(w):
+    return TreePoint.at_vertex(w) if isinstance(w, TreeVertex) else w
+
+
+@hst.composite
+def _vertex_pairs(draw):
+    """Two vertices of one tree, p in {1, 2, 3, 4, 6}, levels in [-300, 300]:
+    equal (as distinct objects), the second on the first's ray (below it)
+    or the first on the second's (above it), or the second's center the
+    first's plus a random number times p**k for a random k."""
+    p = draw(hst.sampled_from([1, 2, 3, 4, 6]))
+    levels = hst.integers(-300, 300)
+
+    def number(denom_exp):
+        return PadicRational(p, 0 if p == 1 else draw(hst.integers(-(p**320), p**320)), denom_exp)
+
+    v = TreeVertex(number(draw(hst.integers(0, 320))), draw(levels))
+    kind = draw(hst.sampled_from(["equal", "below", "above", "other"]))
+    if kind == "equal":
+        w = TreeVertex(v.center, v.level)
+    elif kind == "below":
+        w = TreeVertex(v.center, draw(hst.integers(-300, v.level)))
+    elif kind == "above":
+        w = TreeVertex(v.center + number(0).shift(v.level), draw(hst.integers(v.level, 300)))
+    else:
+        w = TreeVertex(v.center + number(draw(hst.integers(0, 320))).shift(draw(levels)), draw(levels))
+    return (v, w) if draw(hst.booleans()) else (w, v)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=_vertex_pairs(), offsets=hst.tuples(hst.floats(0.0, 1.0), hst.floats(0.0, 1.0)))
+def test_confluents_match_the_valuation_formula(pair, offsets):
+    v, w = pair
+    c, want = confluent(v, w), _valuation_confluent(v, w)
+    assert c == want
+    # the vertex itself when it is the confluent, v first
+    assert c is v if want == v else c is w if want == w else c is not v and c is not w
+    a, b = (TreePoint(u, max(t, 2.0**-60)) for u, t in zip(pair, offsets))
+    for x, y in ((a, b), (b, a), (v, b), (a, w), (v, w)):
+        px, py = _as_point(x), _as_point(y)
+        want = _valuation_confluent_point(px, py)
+        assert confluent_point(x, y) == want
+        for arg, point in ((x, px), (y, py)):
+            if want is point and arg is point:  # a TreePoint argument is the confluent
+                assert confluent_point(x, y) is arg
+        assert tree_distance(x, y) == px.hor + py.hor - 2.0 * want.hor
+
+
+@pytest.mark.parametrize("p, q", [(2, 3), (1, 2), (4, 2)])
+def test_confluent_rejects_a_base_mismatch(p, q):
+    v, w = TreeVertex.root(p), TreeVertex.root(q)
+    for x, y in ((v, w), (w, v)):
+        with pytest.raises(ValueError):
+            confluent(x, y)
+        with pytest.raises(ValueError):
+            confluent_point(TreePoint(x, 0.5), y)
+        with pytest.raises(ValueError):
+            tree_distance(x, TreePoint(y, 0.5))
