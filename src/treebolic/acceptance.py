@@ -26,6 +26,7 @@ from .halfplane import apex, hyp_distance
 from .isometry import AfElement, AffH, AffT, bs_word
 from .padic import PadicRational
 from .pathsim import (
+    ExitMeasure,
     SimConfig,
     final_points_and_distances,
     first_exit_batch,
@@ -156,7 +157,7 @@ class AcceptanceSuite:
         return run_batch(DOWNWARD, SimConfig(dt=DT, horizon=t), self._n(2000), self._rng(6))
 
     @functools.cached_property
-    def exit_run(self) -> analysis.ExitMeasure:
+    def exit_run(self) -> ExitMeasure:
         return analysis.sample_exit_measure(EXIT_PARAMS, self._n(100_000), self._rng(7), dt=DT)
 
     # -- criteria ------------------------------------------------------------

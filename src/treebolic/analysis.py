@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import pathsim
 from .closed_forms import (
     ModelParams,
     clt_sigma2,
@@ -206,46 +207,6 @@ def drift_free_clt(params: ModelParams, distances, t: float, limit_samples) -> K
 # -- exit measure -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExitMeasure:
-    """First-exit samples from the star around one line: which boundary line
-    (down, or one of the p branch lines) and the crossing abscissa."""
-
-    params: ModelParams
-    start_level: int
-    start_x: float
-    side: np.ndarray
-    child: np.ndarray
-    x: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.side.size
-
-    def line_masses(self) -> np.ndarray:
-        """Empirical masses (down line, branch line 0, ..., branch line p-1)."""
-        p = self.params.p
-        up = self.side == 1
-        masses = np.empty(p + 1)
-        masses[0] = np.mean(~up)
-        for j in range(p):
-            masses[j + 1] = np.mean(up & (self.child == j))
-        return masses
-
-    def expected_masses(self) -> np.ndarray:
-        up, down, each = (
-            prob_up(self.params),
-            1.0 - prob_up(self.params),
-            prob_up(self.params) / self.params.p,
-        )
-        return np.array([down] + [each] * self.params.p)
-
-    def pulled_back_x(self) -> np.ndarray:
-        """Exit abscissae mapped back by the isometry that moves the start
-        line to the base line at the base abscissa."""
-        return (self.x - self.start_x) * self.params.q ** (-self.start_level)
-
-
 def sample_exit_measure(
     params: ModelParams,
     n: int,
@@ -253,21 +214,9 @@ def sample_exit_measure(
     dt: float = 1e-4,
     start_level: int = 0,
     start_x: float = 0.0,
-) -> ExitMeasure:
+) -> pathsim.ExitMeasure:
     """Simulate n first exits from the star around a line-start."""
-    from .pathsim import first_exit_batch
-
-    fe = first_exit_batch(
-        params, n, rng, dt=dt, start_level=start_level, start_x=start_x
-    )
-    return ExitMeasure(
-        params=params,
-        start_level=start_level,
-        start_x=start_x,
-        side=fe.side.astype(np.int8),
-        child=fe.child,
-        x=fe.x,
-    )
+    return pathsim.first_exit_batch(params, n, rng, dt=dt, start_level=start_level, start_x=start_x)
 
 
 def histogram_positivity(xs, center: float, half_width: float, bins: int) -> bool:

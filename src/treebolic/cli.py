@@ -63,8 +63,9 @@ def _add_run_flags(p: argparse.ArgumentParser, paths_default: int) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-#: Count flags that must be >= 1, where a subcommand has them.
-_COUNT_FLAGS = ("paths", "record_stride", "steps", "samples", "limit_samples")
+#: Count flags and their least values, where a subcommand has them; the
+#: exit-measure report takes a sample skewness, which needs two samples.
+_COUNT_FLAGS = {"paths": 1, "record_stride": 1, "steps": 1, "samples": 2, "limit_samples": 1}
 
 #: Largest |start level| * ln q: half the float exponent range, so that the
 #: kernel's abscissa scale q**level, and its products with the root of the
@@ -84,10 +85,10 @@ def _check_flags(args) -> None:
     horizon = getattr(args, "horizon", None)
     if horizon is not None and horizon < dt:
         raise _UsageError(f"--horizon must be at least --dt ({dt:g}), got {horizon:g}")
-    for name in _COUNT_FLAGS:
+    for name, least in _COUNT_FLAGS.items():
         value = getattr(args, name, None)
-        if value is not None and value < 1:
-            raise _UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+        if value is not None and value < least:
+            raise _UsageError(f"--{name.replace('_', '-')} must be >= {least}, got {value}")
     level = getattr(args, "start_level", None)
     if level is not None and args.q > 1.0 and abs(level) * math.log(args.q) > _MAX_LEVEL_LOG:
         raise _UsageError(

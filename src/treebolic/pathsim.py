@@ -33,9 +33,10 @@ One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`; `simulate_path` is a one-path run
 checkpointed every record_stride * dt) or to each path's first skeleton
 event (`first_exit_batch`).
-The loop returns what it kept: each path's finished state and, at a
-horizon, the event stream and the checkpoint states.  Tree vertices are
-rebuilt afterwards from the event stream.
+The loop returns what it kept, as a `BatchRun`: each path's finished state
+and, at a horizon, the event stream and the checkpoint states.  Tree
+vertices are replayed afterwards from the event stream, by one walk on
+integers (`_replay`) that yields the anchor after any requested event count.
 
 Inside a strip, away from its lines and boundary, the kernel is a plain
 drifted Brownian step: three additions and no uniforms.  After a step on
@@ -55,11 +56,11 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 
 import numpy as np
 
-from .closed_forms import ModelParams
+from .closed_forms import ModelParams, prob_up
 from .padic import PadicRational
 from .space import HTParams, HTPoint, ht_distance, origin
 from .tree import TreePoint, TreeVertex
@@ -365,19 +366,44 @@ def _observe_run(st: _Arrays, co: _Coeffs, rng: np.random.Generator, xvar: np.nd
 
 
 @dataclass
-class _Kept:
-    """What `_drive` kept, per state field: each path's finished state
-    (final, (n,)) and its states at the checkpoints (checkpoints, (n, k)).
-    Horizon runs also keep the event stream and each path's events that
-    arrived at level 0."""
+class BatchRun:
+    """What a batch run kept: each path's finished state, its states at the
+    checkpoints and, at a horizon, the event stream and each path's events
+    that arrived at level 0.  A run to each path's first event (horizon
+    None) keeps no events."""
 
-    final: dict[str, np.ndarray]
-    checkpoints: dict[str, np.ndarray]
+    params: ModelParams
+    dt: float
+    horizon: float | None
+    start_level: int
+    t: np.ndarray
+    x: np.ndarray
+    level: np.ndarray
+    rel: np.ndarray
+    on_line: np.ndarray
+    side: np.ndarray
+    child: np.ndarray
+    n_events: np.ndarray
+    zero_visits: np.ndarray
     ev_path: np.ndarray
     ev_dir: np.ndarray
     ev_child: np.ndarray
     ev_time: np.ndarray
-    zero_visits: np.ndarray
+    checkpoint_times: np.ndarray | None = None
+    #: per field of the final state, its values at the checkpoints, (n, k)
+    checkpoint_state: dict[str, np.ndarray] | None = None
+
+    @property
+    def checkpoint_x(self) -> np.ndarray | None:
+        return None if self.checkpoint_state is None else self.checkpoint_state["x"]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.level + self.rel
+
+    @property
+    def n_paths(self) -> int:
+        return self.t.size
 
 
 def _drive(
@@ -387,10 +413,10 @@ def _drive(
     st: _Arrays,
     *,
     horizon: float | None = None,
-    checkpoints=(),
-) -> _Kept:
-    """Step every path of st with the kernel until it finishes, and return
-    what was kept (see _Kept).
+    checkpoints=None,
+) -> BatchRun:
+    """Step every path of st (all on one start level) with the kernel until
+    it finishes, and return what was kept.
 
     With a horizon a path finishes at its first state with clock >= horizon
     and is kept at the first state its clock reaches each checkpoint (an
@@ -404,10 +430,12 @@ def _drive(
     check_dt(dt)
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
     n = st.t.size
+    start_level = int(st.level[0]) if n else 0
     # the state to keep: all but the accrued variance (0 once observed)
     fields = [f for f in _Arrays.__slots__ if f != "xvar"]
     final = {f: np.empty(n, getattr(st, f).dtype) for f in fields}
-    cps = np.append(np.asarray(checkpoints, dtype=float), np.inf)  # inf: no checkpoint left
+    # inf: no checkpoint left
+    cps = np.append(np.asarray(() if checkpoints is None else checkpoints, dtype=float), np.inf)
     k = cps.size - 1
     cp = {f: np.zeros(n * k, getattr(st, f).dtype) for f in fields}  # path-major (n, k)
     ptr = np.zeros(n, dtype=np.int64)  # per slot: its next checkpoint
@@ -495,47 +523,20 @@ def _drive(
                 else:
                     st.xvar = np.cumsum(xvar, axis=0)[taken]
                 st.rel, st.t, t_top = rel[taken], t[taken], t[taken].max()
-    cp = {f: arr.reshape(n, k) for f, arr in cp.items()}
-    events = np.array(ev_path, np.int64), np.array(ev_dir, np.int64), np.array(ev_child, np.int16)
-    return _Kept(final, cp, *events, np.array(ev_time), zero_visits)
-
-
-@dataclass
-class BatchRun:
-    """Final states and the event stream of a fixed-horizon batch."""
-
-    params: ModelParams
-    dt: float
-    horizon: float
-    start_level: int
-    t: np.ndarray
-    x: np.ndarray
-    level: np.ndarray
-    rel: np.ndarray
-    on_line: np.ndarray
-    side: np.ndarray
-    child: np.ndarray
-    n_events: np.ndarray
-    zero_visits: np.ndarray
-    ev_path: np.ndarray
-    ev_dir: np.ndarray
-    ev_child: np.ndarray
-    ev_time: np.ndarray
-    checkpoint_times: np.ndarray | None = None
-    #: per field of the final state, its values at the checkpoints, (n, k)
-    checkpoint_state: dict[str, np.ndarray] | None = None
-
-    @property
-    def checkpoint_x(self) -> np.ndarray | None:
-        return None if self.checkpoint_state is None else self.checkpoint_state["x"]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.level + self.rel
-
-    @property
-    def n_paths(self) -> int:
-        return self.t.size
+    return BatchRun(
+        params,
+        dt,
+        horizon,
+        start_level,
+        **final,
+        zero_visits=zero_visits,
+        ev_path=np.array(ev_path, np.int64),
+        ev_dir=np.array(ev_dir, np.int64),
+        ev_child=np.array(ev_child, np.int16),
+        ev_time=np.array(ev_time),
+        checkpoint_times=checkpoints,
+        checkpoint_state=None if checkpoints is None else {f: arr.reshape(n, k) for f, arr in cp.items()},
+    )
 
 
 def run_batch(
@@ -560,34 +561,45 @@ def run_batch(
         if np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon:
             raise ValueError("checkpoints must be increasing and within the horizon")
     st = _Arrays(n_paths, start_level, 0.0, start_x)
-    kept = _drive(
-        params, config.dt, rng, st, horizon=config.horizon, checkpoints=() if cps is None else cps
-    )
-    return BatchRun(
-        params=params,
-        dt=config.dt,
-        horizon=config.horizon,
-        start_level=start_level,
-        **kept.final,
-        zero_visits=kept.zero_visits,
-        ev_path=kept.ev_path,
-        ev_dir=kept.ev_dir,
-        ev_child=kept.ev_child,
-        ev_time=kept.ev_time,
-        checkpoint_times=cps,
-        checkpoint_state=None if cps is None else kept.checkpoints,
-    )
+    return _drive(params, config.dt, rng, st, horizon=config.horizon, checkpoints=cps)
 
 
-@dataclass
-class FirstExit:
-    """First committed line change per path: clock, direction, branch and
-    abscissa at the moment of the event."""
+@dataclass(frozen=True)
+class ExitMeasure:
+    """First exits from the star around one line: per path the clock, the
+    boundary line (down, side -1, or up into branch child) and the abscissa
+    at the moment of its first committed line change."""
 
+    params: ModelParams
+    start_level: int
+    start_x: float
     tau: np.ndarray
     side: np.ndarray
     child: np.ndarray
     x: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.side.size
+
+    def line_masses(self) -> np.ndarray:
+        """Empirical masses (down line, branch line 0, ..., branch line p-1)."""
+        p = self.params.p
+        up = self.side == 1
+        masses = np.empty(p + 1)
+        masses[0] = np.mean(~up)
+        for j in range(p):
+            masses[j + 1] = np.mean(up & (self.child == j))
+        return masses
+
+    def expected_masses(self) -> np.ndarray:
+        up = prob_up(self.params)
+        return np.array([1.0 - up] + [up / self.params.p] * self.params.p)
+
+    def pulled_back_x(self) -> np.ndarray:
+        """Exit abscissae mapped back by the isometry that moves the start
+        line to the base line at the base abscissa."""
+        return (self.x - self.start_x) * self.params.q ** (-self.start_level)
 
 
 def first_exit_batch(
@@ -597,27 +609,55 @@ def first_exit_batch(
     dt: float = 1e-4,
     start_level: int = 0,
     start_x: float = 0.0,
-) -> FirstExit:
-    """Run paths from abscissa start_x on the line at start_level until
+) -> ExitMeasure:
+    """Run n paths from abscissa start_x on the line at start_level until
     their first skeleton event: samples of the one-step transition of the
     induced walk (exit time, which neighboring line, branch, exit abscissa).
     """
-    st = _Arrays(n, start_level, 0.0, start_x)
-    final = _drive(params, dt, rng, st).final
+    run = _drive(params, dt, rng, _Arrays(n, start_level, 0.0, start_x))
     # a path's only event is its first: its direction is the change of level
-    side = (final["level"] - start_level).astype(np.int8)
-    return FirstExit(final["t"], side, final["child"], final["x"])
+    side = (run.level - start_level).astype(np.int8)
+    return ExitMeasure(params, start_level, start_x, run.t, side, run.child, run.x)
+
+
+def _replay(start: TreeVertex, dirs: list[int], childs: list[int], counts) -> list[TreeVertex]:
+    """The anchor vertex after the first c events, for each c of the
+    (nonempty, nondecreasing) counts, walking the events once from start:
+    down to the predecessor, or up into the recorded branch.
+
+    The walk runs on integers: scaled by p**shift, with shift large enough
+    to clear the denominators at every level the walk visits, the ball
+    center at level m is an integer below pk = p**(m + shift).  An up-move
+    into branch c adds c pk, and a down-move keeps the residue mod pk / p.
+    A vertex is built only where the count moves on."""
+    p, c0 = start.p, start.center
+    shift = max(c0.denom_exp, -(start.level + min(accumulate(dirs[: counts[-1]], initial=0))))
+    num = c0.num * p ** (shift - c0.denom_exp)
+    k = start.level + shift
+    pk = p**k
+    moves, v, done, out = zip(dirs, childs), start, 0, []
+    for n in counts:
+        if n > done:
+            for d, c in islice(moves, n - done):
+                if d > 0:
+                    num += c * pk
+                    pk *= p
+                    k += 1
+                else:
+                    k -= 1
+                    pk //= p
+                    num %= pk
+            v, done = TreeVertex(PadicRational(p, num, shift), k - shift), n
+        out.append(v)
+    return out
 
 
 def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> list[TreeVertex]:
-    """Anchor vertices after each event: start vertex, then one move per
-    event (down to the predecessor or up into the recorded branch)."""
-    v = start if start is not None else TreeVertex.root(p)
-    out = [v]
-    for d, c in zip(dirs, childs):
-        v = v.successor(c) if d > 0 else v.predecessor()
-        out.append(v)
-    return out
+    """Anchor vertices after each event: the start vertex (the root by
+    default), then one per event."""
+    dirs, childs = np.asarray(dirs).tolist(), np.asarray(childs).tolist()
+    start = start if start is not None else TreeVertex.root(p)
+    return _replay(start, dirs, childs, range(len(dirs) + 1))
 
 
 def _events_by_path(run: BatchRun):
@@ -630,28 +670,6 @@ def _events_by_path(run: BatchRun):
         raise ValueError("event stream is not in time order within each path")
     starts = np.searchsorted(path, np.arange(run.n_paths + 1))
     return order, starts.tolist()
-
-
-def _final_vertex(start: TreeVertex, dirs: list[int], childs: list[int]) -> TreeVertex:
-    """The last vertex of rebuild_vertices, by integer arithmetic on the ball
-    centers.  Scaled by p**shift, with shift large enough to clear the
-    denominators at every level the path visits, the center at level m is an
-    integer below p**(m + shift): an up-move into branch c adds
-    c p**(m + shift), and a down-move keeps the residue mod p**(m - 1 + shift)."""
-    if not dirs:
-        return start
-    p, c0 = start.p, start.center
-    shift = max(c0.denom_exp, -(start.level + min(accumulate(dirs, initial=0))))
-    num = c0.num * p ** (shift - c0.denom_exp)
-    k = start.level + shift
-    for d, c in zip(dirs, childs):
-        if d > 0:
-            num += c * p**k
-            k += 1
-        else:
-            k -= 1
-            num %= p**k
-    return TreeVertex(PadicRational(p, num, shift), k - shift)
 
 
 def _tree_point(
@@ -670,21 +688,19 @@ def final_tree_points(run: BatchRun, checkpoint: int | None = None) -> list[Tree
     checkpoint of that index."""
     base = TreeVertex(PadicRational.zero(run.params.p), run.start_level)
     order, starts = _events_by_path(run)
-    ends = starts[1:]
     if checkpoint is None:
         side, child, rel = run.side, run.child, run.rel
+        counts = [s1 - s0 for s0, s1 in zip(starts, starts[1:])]
     else:
         cs = run.checkpoint_state
         side, child, rel = (cs[name][:, checkpoint] for name in ("side", "child", "rel"))
         # a path's events up to its checkpoint are its first n_events
-        ends = [s0 + k for s0, k in zip(starts, cs["n_events"][:, checkpoint].tolist())]
+        counts = cs["n_events"][:, checkpoint].tolist()
     points = []
-    for i in range(run.n_paths):
-        sl = order[starts[i] : ends[i]]
-        anchor = _final_vertex(base, run.ev_dir[sl].tolist(), run.ev_child[sl].tolist())
-        points.append(
-            _tree_point(anchor, int(side[i]), int(child[i]), float(rel[i]))
-        )
+    for i, (s0, n) in enumerate(zip(starts, counts)):
+        sl = order[s0 : s0 + n]
+        anchor = _replay(base, run.ev_dir[sl].tolist(), run.ev_child[sl].tolist(), [n])[0]
+        points.append(_tree_point(anchor, int(side[i]), int(child[i]), float(rel[i])))
     return points
 
 
@@ -709,24 +725,24 @@ def simulate_path(
     """Simulate one path from the origin to the horizon, recorded at the
     start, at its first state at or after each multiple of record_stride * dt
     and at the end, each state once.  Each record carries the upper vertex of
-    the strip the path is in, replayed from the event stream after the run."""
+    the strip the path is in, replayed from the event stream after the run:
+    a one-path run_batch checkpointed at the multiples below the horizon."""
     step = config.record_stride * config.dt
     cps = step * np.arange(1, int(config.horizon / step) + 2)
-    cps = cps[cps < config.horizon]
-    st = _Arrays(1, 0, 0.0, 0.0)
+    run = run_batch(params, config, 1, rng, checkpoints=cps[cps < config.horizon])
     cols = ("t", "x", "level", "rel", "side", "child", "n_events")
-    states = [tuple(getattr(st, f).item() for f in cols)]
-    kept = _drive(params, config.dt, rng, st, horizon=config.horizon, checkpoints=cps)
-    for state in zip(*(kept.checkpoints[f][0].tolist() for f in cols)):
+    states = [(0.0, 0.0, 0, 0.0, 0, 0, 0)]  # the origin, on the root's line
+    for state in zip(*(run.checkpoint_state[f][0].tolist() for f in cols)):
         if states[-1][0] < state[0] < config.horizon:
             states.append(state)
-    states.append(tuple(kept.final[f].item() for f in cols))
-    anchors = rebuild_vertices(params.p, kept.ev_dir, kept.ev_child)
+    states.append(tuple(getattr(run, f).item() for f in cols))
+    root = TreeVertex.root(params.p)
+    anchors = _replay(root, run.ev_dir.tolist(), run.ev_child.tolist(), [s[-1] for s in states])
     successor = functools.cache(TreeVertex.successor)  # records above an anchor share it
     distance = _origin_distance(params) if with_distance else None
     records = []
-    for t, x, level, rel, side, child, k in states:
-        w = _tree_point(anchors[k], side, child, rel, successor)
+    for (t, x, level, rel, side, child, k), anchor in zip(states, anchors):
+        w = _tree_point(anchor, side, child, rel, successor)
         d = distance(x, w) if distance else None
         records.append(TrajectoryRecord(t, x, level + rel, w.upper, k, d))
     return records

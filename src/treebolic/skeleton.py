@@ -29,10 +29,13 @@ from .closed_forms import ModelParams, b_param, prob_up, r_fun, rho
 from .pathsim import check_dt, rebuild_vertices
 from .tree import TreeVertex
 
-#: Sojourns are sampled at or above t_min = _T_MIN log^2 q.  The law puts
-#: mass F(t_min) <= 1e-12 below it at the acceptance parameters (the mass
-#: grows like e^|b|); such draws are returned as t_min.
+#: Sojourns are sampled at or above t_min = _T_MIN log^2 q, and a draw below
+#: it would be returned as t_min.  So a law that puts mass F(t_min) above
+#: _MAX_BELOW there is refused.  The mass grows like e^|b|: about 5e-15 at
+#: the acceptance parameters, 1.8e-12 at (q, p, alpha, beta) = (8, 4, -5, 5)
+#: and 8.7e-3 at (8, 4, -40, 5).
 _T_MIN = 0.008
+_MAX_BELOW = 1e-8
 #: The table keeps zeros until lam_k t_min <= -_TAIL: at t >= t_min the
 #: terms left out are below e^-_TAIL, far below any u >= 2^-53 it inverts.
 #: The k-th zero has theta > (k - 1) pi and -lam_k t_min >= _T_MIN theta^2.
@@ -141,12 +144,19 @@ def _spectrum(params: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 class _SojournLaw:
     """The exact sojourn law of one parameter set, truncated to t >= t_min:
-    its zeros, residues and a log-time grid of log S for the inversion."""
+    its zeros, residues and a log-time grid of log S for the inversion.
+    Raises ValueError where the truncation would clip draws (see _T_MIN)."""
 
     def __init__(self, params: ModelParams):
         self.t_min = _T_MIN * params.log_q**2
         self.lam, self.res = _spectrum(params, _ZEROS)
         self.weight = self.res / -self.lam
+        below = 1.0 - self.survival(self.t_min)[0]
+        if below > _MAX_BELOW:
+            raise ValueError(
+                f"the sojourn law puts mass {below:.2g} (more than {_MAX_BELOW:g}) below"
+                f" t_min = {self.t_min:.4g}, where its sampler would clip the draws"
+            )
         # by t_max the slowest term has decayed by e^-45, below any u
         grid = np.geomspace(self.t_min, self.t_min - 45.0 / self.lam[0], _GRID)
         self.grid_log_t = np.log(grid)[::-1]

@@ -58,6 +58,8 @@ class TestFlagRanges:
             # q**level overflows at level 1024 for q = 2; the bound is half that
             (["exit-measure", *_MODEL, "--start-level", "1100"], "--start-level"),
             (["exit-measure", *_MODEL, "--start-level=-513"], "--start-level"),
+            # the skewness of one sample divides by zero
+            (["exit-measure", *_MODEL, "--samples", "1"], "--samples"),
         ],
     )
     def test_out_of_range_flag_is_a_usage_error(self, capsys, argv, flag):
@@ -136,6 +138,12 @@ class TestSkeletonDump:
         for a, b in zip(rows, rows[1:]):
             assert abs(b["hor"] - a["hor"]) == 1
             assert b["tau"] > a["tau"]
+
+    def test_sojourns_the_sampler_would_clip_are_refused(self, capsys):
+        # F(t_min) = 8.7e-3 at these parameters: a numerical failure, no dump
+        assert main(["skeleton", "--q", "8", "--p", "4", "--alpha", "-40", "--beta", "5"]) == 2
+        out = capsys.readouterr()
+        assert not out.out and "below t_min" in out.err
 
     def test_skeleton_has_no_step_size(self, capsys):
         # line-start sojourns are exact, so the dump has no dt to set

@@ -17,10 +17,10 @@ from treebolic.pathsim import (
     _coeffs,
     _DrawBlock,
     _drive,
-    _final_vertex,
     _observe,
     _observe_run,
     _quiet_rows,
+    _replay,
     _tree_point,
     distance_to_origin,
     final_tree_points,
@@ -30,7 +30,7 @@ from treebolic.pathsim import (
     simulate_path,
 )
 from treebolic.padic import PadicRational
-from treebolic.skeleton import RngStream, _sojourn_law, sample_tau_batch
+from treebolic.skeleton import RngStream, _sojourn_law, run_skeleton, sample_tau_batch
 from treebolic.space import HTParams, HTPoint, origin
 from treebolic.tree import TreePoint, TreeVertex
 
@@ -69,6 +69,15 @@ class _FlipX:
 
     def random(self, size=None):
         return self.g.random(size)
+
+
+def _walk(start, dirs, childs):
+    """The oracle of the event replay: the vertex walk, start and then one
+    predecessor or successor per event."""
+    out = [start]
+    for d, c in zip(dirs, childs):
+        out.append(out[-1].successor(int(c)) if d > 0 else out[-1].predecessor())
+    return out
 
 
 class _Recording(_DrawBlock):
@@ -177,7 +186,7 @@ class TestKernelStep:
         assert eids.tolist() == [0] and dirs.tolist() == [-1]
         assert st.level[0] == -1 and st.n_events[0] == 1
         assert st.on_line[0] and st.rel[0] == 0.0
-        assert rebuild_vertices(2, dirs, st.child[eids])[-1] == ROOT.predecessor()
+        assert _walk(ROOT, dirs, st.child[eids])[-1] == ROOT.predecessor()
 
 
 _PARAMS = hst.builds(
@@ -299,7 +308,8 @@ class TestKernelProperties:
         else:
             cps = np.unique(np.asarray(value, dtype=float) * horizon)
         st = _Arrays(6, 0, 0.0)
-        t = _drive(DRIFTED, dt, np.random.default_rng(seed), st, horizon=horizon, checkpoints=cps).checkpoints["t"]
+        run = _drive(DRIFTED, dt, np.random.default_rng(seed), st, horizon=horizon, checkpoints=cps)
+        t = run.checkpoint_state["t"]
         # a step adds at most dt: the first clock at or after cp is at most
         # cp + dt, which it reaches only by rounding
         assert np.all(t >= cps) and np.all(t <= cps + dt)
@@ -340,15 +350,12 @@ def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, 
             mp.setattr(pathsim, "_observe_run", observe_run)
             rng = make_rng()
             try:
-                k = _drive(params, dt, rng, _Arrays(width, level, rel), horizon=horizon, checkpoints=cps)
+                run = _drive(params, dt, rng, _Arrays(width, level, rel), horizon=horizon, checkpoints=cps)
             except NumericalError as exc:
                 kept.append(repr(exc))
                 continue
-        arrays = {
-            **{"final " + f: a for f, a in k.final.items()},
-            **{"checkpoint " + f: a for f, a in k.checkpoints.items()},
-            **{f: getattr(k, f) for f in ("ev_path", "ev_dir", "ev_child", "ev_time", "zero_visits")},
-        }
+        arrays = {f: a for f, a in vars(run).items() if isinstance(a, np.ndarray)}
+        arrays.update({"checkpoint " + f: a for f, a in run.checkpoint_state.items()})
         kept.append(({f: (a.dtype, a.shape, a.tobytes()) for f, a in arrays.items()}, rng.bit_generator.state))
     return kept[0], kept[1], sum(taken), met
 
@@ -511,8 +518,8 @@ class TestFirstExit:
         # interval [-1, 1] has mean (1 - y0) (y0 + 1) / vol^2
         n = 20000
         y0 = 0.5
-        final = _drive(BASE, 5e-4, RngStream(12).generator(), _Arrays(n, 0, y0)).final
-        tau, side = final["t"], final["level"]
+        run = _drive(BASE, 5e-4, RngStream(12).generator(), _Arrays(n, 0, y0))
+        tau, side = run.t, run.level
         vol2 = 2.0 / math.log(2.0) ** 2
         expected = (1.0 - y0) * (y0 + 1.0) / vol2
         se = tau.std(ddof=1) / math.sqrt(n)
@@ -619,7 +626,7 @@ class TestHorizonRuns:
         for i, w in enumerate(final_tree_points(run)):
             assert w.hor == pytest.approx(run.y[i])
             sel = run.ev_path == i
-            anchor = rebuild_vertices(2, run.ev_dir[sel], run.ev_child[sel], start)[-1]
+            anchor = _walk(start, run.ev_dir[sel], run.ev_child[sel])[-1]
             assert anchor.level == run.level[i]
             assert w == _tree_point(anchor, int(run.side[i]), int(run.child[i]), float(run.rel[i]))
 
@@ -635,7 +642,7 @@ class TestHorizonRuns:
         # oracle: replay each path's events up to its checkpoint clock
         for i, w in enumerate(final_tree_points(run, checkpoint=0)):
             sel = (run.ev_path == i) & (run.ev_time <= t_cp[i])
-            anchor = rebuild_vertices(2, run.ev_dir[sel], run.ev_child[sel])[-1]
+            anchor = _walk(ROOT, run.ev_dir[sel], run.ev_child[sel])[-1]
             rel = float(cs["rel"][i, 0])
             assert w == _tree_point(anchor, int(cs["side"][i, 0]), int(cs["child"][i, 0]), rel)
             assert w.hor == pytest.approx(cs["level"][i, 0] + rel)
@@ -758,12 +765,28 @@ def test_rebuild_vertices():
     num=hst.integers(0, 10**6),
     denom=hst.integers(0, 8),
     moves=hst.lists(hst.tuples(hst.sampled_from([-1, 1]), hst.integers(0, 3)), max_size=80),
+    data=hst.data(),
 )
-def test_final_vertex_matches_the_vertex_replay(p, level, num, denom, moves):
+def test_replay_matches_the_oracle_walk(p, level, num, denom, moves, data):
     start = TreeVertex(PadicRational(p, num if p > 1 else 0, denom), level)
     dirs = [d for d, _ in moves]
     childs = [c % p for _, c in moves]
-    assert _final_vertex(start, dirs, childs) == rebuild_vertices(p, dirs, childs, start)[-1]
+    walk = _walk(start, dirs, childs)
+    # counts anywhere in the sequence, repeated or not, and its two ends
+    counts = sorted(data.draw(hst.lists(hst.integers(0, len(dirs)), min_size=1, max_size=6)))
+    assert _replay(start, dirs, childs, counts) == [walk[n] for n in counts]
+    assert _replay(start, dirs, childs, [0, len(dirs)]) == [start, walk[-1]]
+    assert rebuild_vertices(p, dirs, childs, start) == walk
+
+
+@pytest.mark.parametrize("params", [DRIFTED, ModelParams(2.0, 3, 2.5, 0.5), ModelParams(1.5, 1, 1.0, 1.0)])
+def test_skeleton_vertices_are_the_oracle_walk(params):
+    # run_skeleton draws its sojourns and sides, then one branch per step
+    states = run_skeleton(params, 300, RngStream(19).generator())
+    rng = RngStream(19).generator()
+    _, sides = sample_tau_batch(params, 300, rng)
+    branches = rng.integers(params.p, size=300)
+    assert [s.vertex for s in states] == _walk(TreeVertex.root(params.p), sides, branches)
 
 
 def test_origin_state_roundtrip():

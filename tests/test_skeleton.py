@@ -157,6 +157,13 @@ class TestExactLaw:
         law = _sojourn_law(params)
         assert 1.0 - law.survival(law.t_min)[0] <= 1e-12
 
+    def test_a_law_with_mass_below_t_min_is_refused(self):
+        # F(t_min) = 8.7e-3 at alpha = -40; 1.8e-12 at alpha = -5 still samples
+        with pytest.raises(ValueError, match="below t_min"):
+            sample_tau_batch(ModelParams(8.0, 4, -40.0, 5.0), 10, RngStream(18).generator())
+        tau, _ = sample_tau_batch(ModelParams(8.0, 4, -5.0, 5.0), 1000, RngStream(18).generator())
+        assert np.all(tau > _sojourn_law(ModelParams(8.0, 4, -5.0, 5.0)).t_min)
+
     @pytest.mark.parametrize("params", [DRIFT_FREE, ALT_TAU, KAPPA, BALANCED])
     def test_samples_invert_the_survival_function(self, params):
         n = 5000
