@@ -103,13 +103,20 @@ def normal_cdf(x: float, mean: float = 0.0, sd: float = 1.0) -> float:
     return 0.5 * (1.0 + math.erf((x - mean) / (sd * math.sqrt(2.0))))
 
 
-def skewness(samples) -> float:
-    """Sample skewness g1 = m3 / m2**1.5."""
+def _centred(samples) -> tuple[np.ndarray, float]:
+    """The samples less their mean, and their variance, which must not be 0."""
     a = np.asarray(samples, dtype=float)
     c = a - a.mean()
     m2 = float(np.mean(c * c))
-    m3 = float(np.mean(c * c * c))
-    return m3 / m2**1.5
+    if m2 == 0.0:
+        raise ValueError("the samples have zero variance: their skewness is undefined")
+    return c, m2
+
+
+def skewness(samples) -> float:
+    """Sample skewness g1 = m3 / m2**1.5."""
+    c, m2 = _centred(samples)
+    return float(np.mean(c * c * c)) / m2**1.5
 
 
 def skewness_se(samples) -> float:
@@ -118,13 +125,10 @@ def skewness_se(samples) -> float:
     Moment-based: Var(m3) = (mu6 - 6 mu2 mu4 + 9 mu2^3)/n for symmetric
     data, normalized by mu2^(3/2).  Reduces to sqrt(6/n) for normal data
     but stays honest for the heavy-tailed exit laws."""
-    a = np.asarray(samples, dtype=float)
-    n = a.size
-    c = a - a.mean()
-    m2 = float(np.mean(c**2))
+    c, m2 = _centred(samples)
     m4 = float(np.mean(c**4))
     m6 = float(np.mean(c**6))
-    var_m3 = max(m6 - 6.0 * m2 * m4 + 9.0 * m2**3, 0.0) / n
+    var_m3 = max(m6 - 6.0 * m2 * m4 + 9.0 * m2**3, 0.0) / c.size
     return math.sqrt(var_m3) / m2**1.5
 
 

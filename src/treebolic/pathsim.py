@@ -32,22 +32,24 @@ or near a boundary.
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`; `simulate_path` is a one-path run
 checkpointed every record_stride * dt) or to each path's first skeleton
-event (`first_exit_batch`).
-The loop returns what it kept, as a `BatchRun`: each path's finished state
-and, at a horizon, the event stream and the checkpoint states.  Tree
-vertices are replayed afterwards from the event stream, by one walk on
-integers (`_replay`) that yields the anchor after any requested event count.
+event (`first_exit_batch`).  The final state is the last checkpoint: the
+horizon, or a first-exit run's only one, its first event.  The loop returns
+what it kept, as a `BatchRun`: each path's state at each checkpoint and, at
+a horizon, the event stream.  Tree vertices are replayed afterwards from the
+event stream, by one walk on integers (`_replay`) that yields the anchor
+after any requested event count.
 
 Inside a strip, away from its lines and boundary, the kernel is a plain
 drifted Brownian step: three additions and no uniforms.  After a step on
 which every path took that regular branch, the loop takes the next rows of
 the draw block in one vectorized pass (`_quiet_rows`: running sums of the
 offsets, clocks and abscissa variances) for as long as every path stays
-regular and below the horizon.  Running sums add in the kernel's order, and
-the checkpoints reached inside the pass are observed in one draw
-(`_observe_run`) whose normals go to them in the order the loop would draw
-them, so every output and the generator's state are bit-identical.  A
-one-path trajectory takes most of its steps this way.
+regular, also past the horizon of a finished path.  Running sums add in the
+kernel's order, and the checkpoints reached inside the pass, the horizon
+among them, are observed in one draw (`_observe_run`) whose normals go to
+them in the order the loop would draw them, so every output and the
+generator's state are bit-identical.  A one-path trajectory takes most of
+its steps this way.
 """
 
 from __future__ import annotations
@@ -117,6 +119,8 @@ class _Coeffs:
 
 
 def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
+    if params.p >= 2**31:
+        raise ValueError(f"p must be below 2**31, the int32 limit of a branch number, got {params.p}")
     log_q = params.log_q
     vol_sdt = math.sqrt(2.0) / log_q * math.sqrt(dt)
     return _Coeffs(
@@ -133,20 +137,19 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
 
 
 class _Arrays:
-    """Mutable per-path state: anchor level, offset, clock, on-line flag,
-    excursion side and branch, events so far, the abscissa at its last
+    """Mutable per-path state: anchor level, offset, clock, excursion side
+    (0 on the line) and branch, events so far, the abscissa at its last
     observation and the variance accrued since, in units of
     2 dt q**(2 level)."""
 
-    __slots__ = ("t", "x", "level", "rel", "on_line", "side", "child", "n_events", "xvar")
+    __slots__ = ("t", "x", "level", "rel", "side", "child", "n_events", "xvar")
 
     def __init__(self, n: int, level: int, rel: float, x: float = 0.0):
         self.level = np.full(n, level, dtype=np.int64)
         self.rel = np.full(n, float(rel))
         self.t = np.zeros(n)
-        self.on_line = np.full(n, rel == 0.0)
         self.side = np.full(n, np.sign(rel), dtype=np.int8)
-        self.child = np.zeros(n, dtype=np.int16)
+        self.child = np.zeros(n, dtype=np.int32)
         self.n_events = np.zeros(n, dtype=np.int64)
         self.x = np.full(n, float(x))
         self.xvar = np.zeros(n)
@@ -229,7 +232,7 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     rel0 = st.rel
     new_rel = rel0 + (co.vol_sdt * z + co.mu_dt)
 
-    lin = np.nonzero(st.on_line)[0]
+    lin = np.nonzero(st.side == 0)[0]
     if lin.size:
         u = draws.uniforms(lin.size)
         # up with probability gamma, then the drift
@@ -282,7 +285,6 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     st.xvar += w
 
     st.rel = new_rel
-    st.on_line = crossed
     if cid.size:
         new_rel[cid] = 0.0
         st.side[cid] = 0
@@ -291,7 +293,6 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
         return event_ids, event_ids, not (lin.size or cand.size or cid.size)
     dirs = np.where(new_rel[event_ids] > 0, 1, -1)
     new_rel[event_ids] = 0.0
-    crossed[event_ids] = True
     st.side[event_ids] = 0
     st.level[event_ids] += dirs
     st.n_events[event_ids] += 1
@@ -299,14 +300,15 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     return event_ids, dirs, False
 
 
-def _quiet_rows(st: _Arrays, co: _Coeffs, z: np.ndarray, horizon: float | None):
+def _quiet_rows(st: _Arrays, co: _Coeffs, z: np.ndarray):
     """The kernel's regular branch over the leading rows of the height
     normals z (rows, n) on which every path takes it: none on a line (the
     caller's condition), crossing its anchor line or within near_cut of the
-    boundary, and every clock below the horizon.  Returns the number of
-    rows taken, the offsets and clocks before each row and after the last,
-    and the abscissa variance of each row; np.cumsum adds along axis 0 one
-    row at a time, as the kernel does.
+    boundary.  The rows may reach checkpoints, the horizon among them, and
+    run on past it for a finished path.  Returns the number of rows taken,
+    the offsets and clocks before each row and after the last, and the
+    abscissa variance of each row; np.cumsum adds along axis 0 one row at a
+    time, as the kernel does.
 
     The window is max(1, _COMPACT_EVERY // n) rows of z, zero-padded: runs
     are long for one path and short for wide batches, and one shape per
@@ -318,8 +320,6 @@ def _quiet_rows(st: _Arrays, co: _Coeffs, z: np.ndarray, horizon: float | None):
     t = np.cumsum(np.vstack((st.t, np.full(window.shape, co.dt))), axis=0)
     new = rel[1:]
     ok = ((new * st.side >= _SNAP) & (np.abs(new) <= 1.0 - co.near_cut)).all(axis=1)
-    if horizon is not None:
-        ok &= t[1:].max(axis=1) < horizon
     ok[len(z) :] = False
     taken = ok.size if ok.all() else int(ok.argmin())
     return taken, rel, t, np.exp(co.two_log_q * rel[:-1])
@@ -367,10 +367,10 @@ def _observe_run(st: _Arrays, co: _Coeffs, rng: np.random.Generator, xvar: np.nd
 
 @dataclass
 class BatchRun:
-    """What a batch run kept: each path's finished state, its states at the
-    checkpoints and, at a horizon, the event stream and each path's events
-    that arrived at level 0.  A run to each path's first event (horizon
-    None) keeps no events."""
+    """What a batch run kept: each path's final state, its state at the last
+    checkpoint (the horizon, or its first event); its states at the
+    checkpoints before it; and, at a horizon, the event stream and each
+    path's events that arrived at level 0."""
 
     params: ModelParams
     dt: float
@@ -380,7 +380,6 @@ class BatchRun:
     x: np.ndarray
     level: np.ndarray
     rel: np.ndarray
-    on_line: np.ndarray
     side: np.ndarray
     child: np.ndarray
     n_events: np.ndarray
@@ -418,48 +417,50 @@ def _drive(
     """Step every path of st (all on one start level) with the kernel until
     it finishes, and return what was kept.
 
-    With a horizon a path finishes at its first state with clock >= horizon
-    and is kept at the first state its clock reaches each checkpoint (an
-    increasing sequence); without one, it finishes at its first skeleton
-    event.  Abscissae are observed before they are kept.
+    A path is kept at the first state its clock reaches each checkpoint (an
+    increasing sequence) and then the horizon, where it finishes; a run
+    without a horizon takes no checkpoints and keeps each path at its first
+    skeleton event.  The final state is the last checkpoint.  Abscissae are
+    observed before they are kept.
 
     Rows taken by the quiet pass (see the module docstring) count as
     iterations; the pass stops before the next compaction, and the
     checkpoints reached inside it are observed in one draw.
     """
     check_dt(dt)
+    if horizon is None and checkpoints is not None:
+        raise ValueError("checkpoints need a horizon")
     co, draws = _coeffs(params, dt), _DrawBlock(rng)
     n = st.t.size
     start_level = int(st.level[0]) if n else 0
-    # the state to keep: all but the accrued variance (0 once observed)
-    fields = [f for f in _Arrays.__slots__ if f != "xvar"]
-    final = {f: np.empty(n, getattr(st, f).dtype) for f in fields}
-    # inf: no checkpoint left
-    cps = np.append(np.asarray(() if checkpoints is None else checkpoints, dtype=float), np.inf)
+    # the k columns kept: the checkpoints, then the horizon (inf: the first
+    # event); then inf, the next column of a finished path
+    end = math.inf if horizon is None else horizon
+    cps = np.concatenate((() if checkpoints is None else checkpoints, (end, math.inf)))
     k = cps.size - 1
-    cp = {f: np.zeros(n * k, getattr(st, f).dtype) for f in fields}  # path-major (n, k)
-    ptr = np.zeros(n, dtype=np.int64)  # per slot: its next checkpoint
-    ev_path, ev_dir, ev_child, ev_time = array("q"), array("q"), array("h"), array("d")
+    # all fields but the accrued variance (0 once observed), path-major (n, k)
+    kept = {f: np.zeros(n * k, getattr(st, f).dtype) for f in _Arrays.__slots__ if f != "xvar"}
+    ptr = np.zeros(n, dtype=np.int64)  # per slot: its next column, k once finished
+    ev_path, ev_dir, ev_child, ev_time = array("q"), array("q"), array("i"), array("d")
     zero_visits = np.zeros(n, dtype=np.int64)
     # the per-path tests run only once t_top, at or above every clock (they
-    # start at 0 and a step adds at most dt), reaches t_next: the horizon or
-    # t_cp, the earliest pending checkpoint, whichever comes first
-    max_iter, t_top, t_cp, t_next = _HARD_ITER_CAP, 0.0, cps[0], math.inf
+    # start at 0 and a step adds at most dt), reaches t_cp, the earliest
+    # pending checkpoint
+    max_iter, t_top, t_cp = _HARD_ITER_CAP, 0.0, cps[0]
     if horizon is not None:
         max_iter = min(max_iter, int(2 * horizon / dt) + 100_000)
-        t_next = min(horizon, t_cp)
 
-    def finish(loc):
+    def keep(loc):
         nonlocal left
         _observe(st, co, rng, loc)
-        g = idx[loc]
-        for f, arr in final.items():
-            arr[g] = getattr(st, f)[loc]
-        done[loc] = True
-        left -= loc.size
+        col = ptr[loc]
+        at = idx[loc] * k + col
+        for f, arr in kept.items():
+            arr[at] = getattr(st, f)[loc]
+        ptr[loc] = col + 1
+        left -= np.count_nonzero(col == k - 1)
 
     idx = np.arange(n)  # path id per current (compacted) slot
-    done = np.zeros(n, dtype=bool)
     iters, left = 0, n  # left: the paths not yet finished
     while left:
         iters += 1
@@ -468,10 +469,10 @@ def _drive(
         eids, dirs, quiet = _advance(st, co, draws.next(idx.size), draws)
         t_top += co.dt
         if eids.size:
-            live = ~done[eids]
+            live = ptr[eids] < k
             eids, dirs = eids[live], dirs[live]
         if horizon is None and eids.size:
-            finish(eids)
+            keep(eids)
         elif eids.size:
             g = idx[eids]
             ev_path.extend(g.tolist())
@@ -479,63 +480,55 @@ def _drive(
             ev_child.extend(st.child[eids].tolist())
             ev_time.extend(st.t[eids].tolist())
             zero_visits[g] += st.level[eids] == 0
-        if t_top >= t_next:
+        if t_top >= t_cp:
             t_top = st.t.max()  # the bound, made tight
             while t_top >= t_cp:
-                h = np.nonzero(~done & (st.t >= cps[ptr]))[0]
+                h = np.nonzero(st.t >= cps[ptr])[0]
                 if not h.size:
                     break
-                _observe(st, co, rng, h)
-                at = idx[h] * k + ptr[h]
-                for f, arr in cp.items():
-                    arr[at] = getattr(st, f)[h]
-                ptr[h] += 1
+                keep(h)
                 t_cp = cps[ptr].min()
-            if t_top >= horizon:
-                finish(np.nonzero(~done & (st.t >= horizon))[0])
-            t_next = min(horizon, t_cp)
-        if iters % _COMPACT_EVERY == 0 and done.any():
-            keep = ~done
-            st.compress(keep)
-            draws.compress(keep)
-            idx, ptr = idx[keep], ptr[keep]
-            done = np.zeros(idx.size, dtype=bool)
+        if iters % _COMPACT_EVERY == 0 and left < idx.size:
+            live = ptr < k
+            st.compress(live)
+            draws.compress(live)
+            idx, ptr = idx[live], ptr[live]
         if quiet and left:  # the quiet pass
             m = min(draws.z.shape[0] - draws.i, _COMPACT_EVERY - 1 - iters % _COMPACT_EVERY, max_iter - iters)
-            taken, rel, t, w = _quiet_rows(st, co, draws.z[draws.i : draws.i + m], horizon)
+            taken, rel, t, w = _quiet_rows(st, co, draws.z[draws.i : draws.i + m])
             if taken:
                 draws.i += taken
                 iters += taken
                 xvar = np.vstack((st.xvar, w[:taken]))  # the carried variance, then each row's
-                if t[taken].max() >= t_next:
-                    # no path is finished (clocks are below the horizon); a path
-                    # has reached[r] checkpoints before row r (reached[0] = ptr)
+                if t[taken].max() >= t_cp:
+                    # a path has reached[r] columns before row r (reached[0] = ptr)
                     reached = np.searchsorted(cps, t[: taken + 1], side="right")
                     rows, slots, passes, x = _observe_run(st, co, rng, xvar, reached)
                     at = idx[slots] * k + reached[rows, slots] + passes
                     after = rows + 1, slots
                     moved = {"t": t[after], "rel": rel[after], "x": x}
-                    for f, arr in cp.items():
+                    for f, arr in kept.items():
                         arr[at] = moved[f] if f in moved else getattr(st, f)[slots]
                     ptr = reached[taken]
                     t_cp = cps[ptr].min()
-                    t_next = min(horizon, t_cp)
+                    left = np.count_nonzero(ptr < k)
                 else:
                     st.xvar = np.cumsum(xvar, axis=0)[taken]
                 st.rel, st.t, t_top = rel[taken], t[taken], t[taken].max()
+    kept = {f: arr.reshape(n, k) for f, arr in kept.items()}
     return BatchRun(
         params,
         dt,
         horizon,
         start_level,
-        **final,
+        **{f: arr[:, -1] for f, arr in kept.items()},
         zero_visits=zero_visits,
         ev_path=np.array(ev_path, np.int64),
         ev_dir=np.array(ev_dir, np.int64),
-        ev_child=np.array(ev_child, np.int16),
+        ev_child=np.array(ev_child, np.int32),
         ev_time=np.array(ev_time),
         checkpoint_times=checkpoints,
-        checkpoint_state=None if checkpoints is None else {f: arr.reshape(n, k) for f, arr in cp.items()},
+        checkpoint_state=None if checkpoints is None else {f: arr[:, :-1] for f, arr in kept.items()},
     )
 
 

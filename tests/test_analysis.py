@@ -88,6 +88,11 @@ class TestNormalCdfAndSummaries:
         heavy = rng.standard_t(5, size=n)  # leptokurtic: larger skewness error
         assert analysis.skewness_se(heavy) > 1.5 * math.sqrt(6.0 / n)
 
+    @pytest.mark.parametrize("skew", [analysis.skewness, analysis.skewness_se])
+    def test_skewness_of_a_sample_without_variance_is_refused(self, skew):
+        with pytest.raises(ValueError, match="zero variance"):
+            skew(np.full(50, 1e17))
+
     def test_escape_rate_estimator(self):
         s = analysis.estimate_escape_rate([10.0, 12.0, 8.0], 10.0)
         assert s.mean == pytest.approx(1.0)

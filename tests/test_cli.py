@@ -237,6 +237,13 @@ class TestAnalysisCommands:
         assert far["x_skewness"] == pytest.approx(base["x_skewness"], rel=1e-9)
         assert far["x_summary"]["variance"] == pytest.approx(base["x_summary"]["variance"], rel=1e-9)
 
+    def test_exit_measure_where_the_increments_round_away(self, capsys):
+        # at abscissa 1e17 (spacing 16) the O(1) exit increments round to 0:
+        # the pulled-back sample has no variance, so no skewness
+        assert main(["exit-measure", *_MODEL, "--samples", "50", "--dt", "1e-3", "--start-x", "1e17"]) == 2
+        out = capsys.readouterr()
+        assert not out.out and "zero variance" in out.err
+
     def test_boundary_critical(self, capsys):
         code, out = run_cli(
             capsys,

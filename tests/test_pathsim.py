@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from treebolic import pathsim
@@ -131,7 +131,7 @@ class TestKernelStep:
         assert st.x[0] == 1.25
         assert st.xvar[0] == pytest.approx(2.0**-1.0)
         assert st.t[0] == pytest.approx(1e-3)
-        assert eids.size == 0 and st.level[0] == 0 and not st.on_line[0]
+        assert eids.size == 0 and st.level[0] == 0 and st.side[0] != 0
 
     def test_observation_draws_the_accrued_variance(self):
         co = _coeffs(BASE, 1e-3)
@@ -153,7 +153,7 @@ class TestKernelStep:
 
     def test_line_departure_bookkeeping(self):
         st, _, _ = _one_step(BASE, 1e-3, _FakeRng(1.0))  # uniform 0.9 > gamma: down
-        assert st.side[0] == -1 and not st.on_line[0]
+        assert st.side[0] == -1
         rel = float(st.rel[0])
         assert rel == pytest.approx(-math.sqrt(2.0) / math.log(2.0) * math.sqrt(1e-3))
         w = _tree_point(ROOT, int(st.side[0]), int(st.child[0]), rel)
@@ -169,7 +169,7 @@ class TestKernelStep:
         # up-excursion, in the branch (0.9 - gamma)/(1 - gamma) = 0.7 picks
         st, _, _ = _one_step(m, 1e-3, _FakeRng(0.5 * co.mu_dt / co.vol_sdt))
         assert st.rel[0] == pytest.approx(0.5 * co.mu_dt)
-        assert st.side[0] == 1 and st.child[0] == 1 and not st.on_line[0]
+        assert st.side[0] == 1 and st.child[0] == 1
 
     def test_numerical_guard(self):
         st = _Arrays(1, 0, -0.5)
@@ -185,7 +185,7 @@ class TestKernelStep:
         st, eids, dirs = _one_step(BASE, 1e-3, _FakeRng(-1.0), rel=-0.999)
         assert eids.tolist() == [0] and dirs.tolist() == [-1]
         assert st.level[0] == -1 and st.n_events[0] == 1
-        assert st.on_line[0] and st.rel[0] == 0.0
+        assert st.side[0] == 0 and st.rel[0] == 0.0
         assert _walk(ROOT, dirs, st.child[eids])[-1] == ROOT.predecessor()
 
 
@@ -223,7 +223,7 @@ class TestKernelProperties:
         for _ in range(300):
             z = draws.next(n)
             draws.taken = []
-            on_line, rel0, level, t = st.on_line, st.rel, st.level.copy(), st.t.copy()
+            on_line, rel0, level, t = st.side == 0, st.rel, st.level.copy(), st.t.copy()
             try:
                 eids, dirs, quiet = _advance(st, co, z, draws)
                 error = False
@@ -238,11 +238,11 @@ class TestKernelProperties:
             if error:
                 return
             if quiet:  # the plain Euler step for every path, with no draws
-                assert not draws.taken and not eids.size and not st.on_line.any()
+                assert not draws.taken and not eids.size and not (st.side == 0).any()
                 assert np.array_equal(st.rel, rel0 + (co.vol_sdt * z + co.mu_dt))
                 assert np.all(np.abs(st.rel) <= 1.0 - co.near_cut)
             assert np.all(np.abs(st.rel) < 1.0)
-            assert np.all(st.rel[st.on_line] == 0.0) and np.all(st.side == np.sign(st.rel))
+            assert np.all(st.rel[st.side == 0] == 0.0) and np.all(st.side == np.sign(st.rel))
             child = st.child[st.side > 0]
             assert np.all((child >= 0) & (child < params.p))
             assert np.all(np.abs(dirs) == 1)
@@ -265,6 +265,22 @@ class TestKernelProperties:
         horizon = steps * dt
         run = run_batch(params, SimConfig(dt=dt, horizon=horizon), 8, np.random.default_rng(seed))
         assert np.all(run.t >= horizon) and np.all(run.t < horizon + dt)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        params=_PARAMS.filter(lambda m: m.q >= 2.0),
+        dt=hst.floats(1e-4, 1e-2),
+        steps=hst.integers(1, 200),
+        width=hst.sampled_from([1, 2, 8]),
+        before=hst.lists(hst.floats(0.0, 1.0), max_size=5, unique=True),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_a_checkpoint_at_the_horizon_is_the_final_state(self, params, dt, steps, width, before, seed):
+        horizon = steps * dt
+        cps = np.unique(np.append(np.asarray(before) * horizon, horizon))
+        run = run_batch(params, SimConfig(dt=dt, horizon=horizon), width, np.random.default_rng(seed), checkpoints=cps)
+        for f, a in run.checkpoint_state.items():
+            assert a[:, -1].tobytes() == getattr(run, f).tobytes(), f
 
     def test_a_finished_path_takes_no_more_steps(self, monkeypatch):
         # 50 steps to the horizon, not a multiple of the compaction interval;
@@ -316,9 +332,9 @@ class TestKernelProperties:
         assert np.all(np.diff(t, axis=1) >= 0)
 
 
-def _no_rows(st, co, z, horizon):
+def _no_rows(st, co, z):
     """The quiet pass, taking no rows: every step is a kernel call."""
-    return _quiet_rows(st, co, z[:0], horizon)
+    return _quiet_rows(st, co, z[:0])
 
 
 def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, cps, level=0):
@@ -355,7 +371,7 @@ def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, 
                 kept.append(repr(exc))
                 continue
         arrays = {f: a for f, a in vars(run).items() if isinstance(a, np.ndarray)}
-        arrays.update({"checkpoint " + f: a for f, a in run.checkpoint_state.items()})
+        arrays.update({"checkpoint " + f: a for f, a in (run.checkpoint_state or {}).items()})
         kept.append(({f: (a.dtype, a.shape, a.tobytes()) for f, a in arrays.items()}, rng.bit_generator.state))
     return kept[0], kept[1], sum(taken), met
 
@@ -408,6 +424,11 @@ class TestQuietPass:
             first_exit=hst.booleans(),
             seed=hst.integers(0, 2**32 - 1),
         )
+        # two paths whose clocks part at line crossings: a quiet run past the
+        # first one's horizon observes the other alone
+        @example(
+            params=DRIFTED, dt=1e-3, width=2, rel=0.0, level=0, steps=50, grid=("random", []), first_exit=False, seed=3
+        )
         def check(params, dt, width, rel, level, steps, grid, first_exit, seed):
             horizon = steps * dt
             kind, value = grid
@@ -416,10 +437,11 @@ class TestQuietPass:
                 cps = cps[cps < horizon]
             else:
                 cps = np.unique(np.asarray(value, dtype=float) * horizon)
-            if first_exit:
+            if first_exit:  # it takes no checkpoints
+                horizon, cps = None, None
                 width = min(width, 8)  # a wide batch runs until its slowest first exit
             with_pass, without, taken, cases = _drive_with_and_without_the_pass(
-                params, dt, lambda: np.random.default_rng(seed), width, rel, None if first_exit else horizon, cps, level
+                params, dt, lambda: np.random.default_rng(seed), width, rel, horizon, cps, level
             )
             assert with_pass == without
             met.update(cases)
@@ -456,6 +478,28 @@ class TestQuietPass:
                     hits = dict(zip(zip(r.tolist(), s.tolist(), j.tolist()), x.tolist()))
                 outs.append((hits, st.x.tobytes(), st.xvar.tobytes(), rng.bit_generator.state))
             assert outs[0] == outs[1]
+
+    def test_the_pass_runs_on_past_a_finished_path(self):
+        # line crossings cost two paths from the root line different
+        # fractions of a step: one finishes rows before the other, whose
+        # last rows still go through the pass
+        dt, horizon, taken = 1e-3, 0.05, []
+
+        def quiet_rows(st, *args):
+            rows = _quiet_rows(st, *args)
+            taken.append(rows[0] if st.t.max() >= horizon else 0)
+            return rows
+
+        kept = []
+        for rows in (quiet_rows, _no_rows):
+            rng = np.random.default_rng(3)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pathsim, "_quiet_rows", rows)
+                run = _drive(DRIFTED, dt, rng, _Arrays(2, 0, 0.0), horizon=horizon)
+            assert np.all(run.t >= horizon)
+            kept.append(([getattr(run, f).tobytes() for f in ("t", "x", "rel")], rng.bit_generator.state))
+        assert sum(taken) > 0
+        assert kept[0] == kept[1]
 
     @pytest.mark.parametrize(
         "seed, dt, horizon", [(15, 7e-4, 0.5), (16, 1e-4, 0.3), (0, 7e-4, 0.5)]
@@ -542,6 +586,23 @@ class TestFirstExit:
         share = np.bincount(fe.child[up], minlength=p) / up.sum()
         assert share.size == p
         assert np.all(np.abs(share - 1.0 / p) <= 3 * math.sqrt((1.0 / p) * (1 - 1.0 / p) / up.sum()))
+
+    def test_branches_beyond_the_int16_range(self):
+        p = 40000
+        fe = first_exit_batch(ModelParams(2.0, p, 1.0, 1.0), 2000, RngStream(6).generator(), dt=1e-3)
+        assert np.all((fe.child >= 0) & (fe.child < p))
+        assert fe.line_masses().sum() == pytest.approx(1.0)
+        run = run_batch(ModelParams(2.0, p, 1.0, 1.0), SimConfig(dt=1e-3, horizon=2.0), 20, RngStream(7).generator())
+        assert run.ev_child.size and np.all((run.ev_child >= 0) & (run.ev_child < p))
+        assert len(final_tree_points(run)) == 20
+
+    def test_a_first_exit_run_takes_no_checkpoints(self):
+        with pytest.raises(ValueError, match="checkpoints need a horizon"):
+            _drive(BASE, 1e-3, RngStream(1).generator(), _Arrays(2, 0, 0.0), checkpoints=[0.1])
+
+    def test_a_branch_number_beyond_int32_is_refused(self):
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            first_exit_batch(ModelParams(2.0, 2**31, 1.0, 1.0), 4, RngStream(1).generator(), dt=1e-3)
 
 
 class TestHorizonRuns:
