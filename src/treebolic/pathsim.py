@@ -29,14 +29,18 @@ checkpoint or the horizon): exact in law for the Euler scheme.
 The side and bridge uniforms come from a shared pool, one per path on a line
 or near a boundary.
 
+The kernel's abscissa is a displacement from 0, whose law the isometries
+of HT(q, p) make independent of the start abscissa: a first-exit sample
+adds that only where its abscissae are read.
+
 One kernel, `_advance`, takes every Euler step, and one batch loop, `_drive`,
 runs it to a fixed horizon (`run_batch`; `simulate_path` is a one-path run
 checkpointed every record_stride * dt) or to each path's first skeleton
-event (`first_exit_batch`).  The final state is the last checkpoint: the
-horizon, or a first-exit run's only one, its first event.  The loop returns
-what it kept, as a `BatchRun`: each path's state at each checkpoint and, at
-a horizon, the event stream.  Tree vertices are replayed afterwards from the
-event stream, by one walk on integers (`_replay`) that yields the anchor
+event (`first_exit_batch`).  The loop hands back what it kept, as a
+`BatchRun`: one store with each path's state at each checkpoint and, in its
+last column, the final state (the horizon, or a first exit's event), and,
+at a horizon, the event stream.  Tree vertices are replayed afterwards from
+the event stream, by one walk on integers (`_replay`) that yields the anchor
 after any requested event count.
 
 Inside a strip, away from its lines and boundary, the kernel is a plain
@@ -138,20 +142,20 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
 
 class _Arrays:
     """Mutable per-path state: anchor level, offset, clock, excursion side
-    (0 on the line) and branch, events so far, the abscissa at its last
-    observation and the variance accrued since, in units of
+    (0 on the line) and branch, events so far, the abscissa displacement at
+    its last observation and the variance accrued since, in units of
     2 dt q**(2 level)."""
 
     __slots__ = ("t", "x", "level", "rel", "side", "child", "n_events", "xvar")
 
-    def __init__(self, n: int, level: int, rel: float, x: float = 0.0):
+    def __init__(self, n: int, level: int, rel: float):
         self.level = np.full(n, level, dtype=np.int64)
         self.rel = np.full(n, float(rel))
         self.t = np.zeros(n)
         self.side = np.full(n, np.sign(rel), dtype=np.int8)
         self.child = np.zeros(n, dtype=np.int32)
         self.n_events = np.zeros(n, dtype=np.int64)
-        self.x = np.full(n, float(x))
+        self.x = np.zeros(n)
         self.xvar = np.zeros(n)
 
     def compress(self, keep: np.ndarray) -> None:
@@ -162,34 +166,40 @@ class _Arrays:
 class _DrawBlock:
     """Pre-drawn noise, to amortize generator call overhead.  The height
     normals, read by every path on every step, come in blocks of rows, less
-    deep for wide batches; compaction keeps the surviving columns, so it
-    does not disturb the other paths' draws.  The side and bridge uniforms,
-    read only on a line or near a boundary, come in order from a pool.
+    deep for wide batches.  Each path reads its own column to the end of the
+    block, so compaction, which narrows the index from the current paths to
+    their columns, moves no noise; the next block has the surviving width.
+    The side and bridge uniforms, read only on a line or near a boundary,
+    come in order from a pool.
 
     Each block is drawn into the front of one buffer, grown only when a
-    block outsizes it, and compaction packs it in place: blocks are
-    megabytes, and freeing and reallocating them around the allocator's mmap
-    threshold makes the peak memory depend on the heap layout of the
-    process."""
+    block outsizes it: blocks are megabytes, and freeing and reallocating
+    them around the allocator's mmap threshold makes the peak memory depend
+    on the heap layout of the process."""
 
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
         self.buf = np.empty(0)
         self.z = np.empty((0, 0))
+        self.cols = slice(None)  # each current path's column of z
         self.pool = np.empty(0)
         self.i = self.j = 0
 
     def next(self, n: int) -> np.ndarray:
-        """The height normals of the next step of n paths."""
-        if self.i >= self.z.shape[0] or n != self.z.shape[1]:
+        """The height normals of the next step of the n current paths."""
+        if self.i >= self.z.shape[0]:
             size = max(8, min(_BLOCK, 2_000_000 // n)) * n
             if self.buf.size < size:
                 self.buf = np.empty(size)
             self.z = self.buf[:size].reshape(-1, n)
             self.rng.standard_normal(out=self.z)
-            self.i = 0
+            self.i, self.cols = 0, slice(None)
         self.i += 1
-        return self.z[self.i - 1]
+        return self.z[self.i - 1, self.cols]
+
+    def ahead(self, m: int) -> np.ndarray:
+        """The next m unread rows, or fewer at the block's end; not taken."""
+        return self.z[self.i : self.i + m, self.cols]
 
     def uniforms(self, k: int) -> np.ndarray:
         if self.j + k > self.pool.size:
@@ -199,18 +209,7 @@ class _DrawBlock:
         return self.pool[self.j - k : self.j]
 
     def compress(self, keep: np.ndarray) -> None:
-        """Keep the unread rows of the surviving columns, packed into the
-        front of the buffer a chunk of rows at a time.  Each chunk is copied
-        out before it is written, and a packed chunk ends before the next
-        unread row starts, so no row is overwritten before it is read.  A
-        chunk is at most 64 KiB, half the allocator's default mmap
-        threshold, so its temporary comes from the heap (see above)."""
-        rows, m = self.z.shape[0] - self.i, int(keep.sum())
-        packed = self.buf[: rows * m].reshape(rows, m)
-        chunk = max(1, 8192 // max(m, 1))
-        for r in range(0, rows, chunk):
-            packed[r : r + chunk] = self.z[self.i + r : self.i + r + chunk, keep]
-        self.z, self.i = packed, 0
+        self.cols = np.arange(self.z.shape[1])[self.cols][keep]
 
 
 def _observe(st: _Arrays, co: _Coeffs, rng: np.random.Generator, loc: np.ndarray) -> None:
@@ -300,21 +299,21 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     return event_ids, dirs, False
 
 
-def _quiet_rows(st: _Arrays, co: _Coeffs, z: np.ndarray):
-    """The kernel's regular branch over the leading rows of the height
-    normals z (rows, n) on which every path takes it: none on a line (the
-    caller's condition), crossing its anchor line or within near_cut of the
-    boundary.  The rows may reach checkpoints, the horizon among them, and
-    run on past it for a finished path.  Returns the number of rows taken,
-    the offsets and clocks before each row and after the last, and the
-    abscissa variance of each row; np.cumsum adds along axis 0 one row at a
-    time, as the kernel does.
+def _quiet_rows(st: _Arrays, co: _Coeffs, draws: _DrawBlock, m: int):
+    """The kernel's regular branch over the leading unread rows of draws (at
+    most m) on which every path takes it: none on a line (the caller's
+    condition), crossing its anchor line or within near_cut of the boundary.
+    The rows may reach checkpoints, the horizon among them, and run on past
+    it for a finished path.  Returns the number of rows taken, the offsets
+    and clocks before each row and after the last, and the abscissa variance
+    of each row; np.cumsum adds along axis 0 one row at a time, as the
+    kernel does.
 
-    The window is max(1, _COMPACT_EVERY // n) rows of z, zero-padded: runs
-    are long for one path and short for wide batches, and one shape per
-    width lets numpy reuse its freed small blocks."""
-    window = np.zeros((max(1, _COMPACT_EVERY // z.shape[1]), z.shape[1]))
-    z = z[: len(window)]
+    The window is max(1, _COMPACT_EVERY // n) rows, zero-padded past the
+    block's end: runs are long for one path and short for wide batches, and
+    one shape per width lets numpy reuse its freed small blocks."""
+    window = np.zeros((max(1, _COMPACT_EVERY // st.t.size), st.t.size))
+    z = draws.ahead(min(m, len(window)))
     window[: len(z)] = z
     rel = np.cumsum(np.vstack((st.rel, co.vol_sdt * window + co.mu_dt)), axis=0)
     t = np.cumsum(np.vstack((st.t, np.full(window.shape, co.dt))), axis=0)
@@ -367,10 +366,9 @@ def _observe_run(st: _Arrays, co: _Coeffs, rng: np.random.Generator, xvar: np.nd
 
 @dataclass
 class BatchRun:
-    """What a batch run kept: each path's final state, its state at the last
-    checkpoint (the horizon, or its first event); its states at the
-    checkpoints before it; and, at a horizon, the event stream and each
-    path's events that arrived at level 0."""
+    """What a batch run kept: the store of each path's states, its final
+    state's fields (views of the store's last column) and, at a horizon,
+    the event stream and each path's events that arrived at level 0."""
 
     params: ModelParams
     dt: float
@@ -388,13 +386,14 @@ class BatchRun:
     ev_dir: np.ndarray
     ev_child: np.ndarray
     ev_time: np.ndarray
+    #: per field of the final state, (n, k + 1): its values at the k checkpoints, then the final state
+    state: dict[str, np.ndarray]
     checkpoint_times: np.ndarray | None = None
-    #: per field of the final state, its values at the checkpoints, (n, k)
-    checkpoint_state: dict[str, np.ndarray] | None = None
 
     @property
     def checkpoint_x(self) -> np.ndarray | None:
-        return None if self.checkpoint_state is None else self.checkpoint_state["x"]
+        """The abscissae at the checkpoints, (n, k); None without them."""
+        return None if self.checkpoint_times is None else self.state["x"][:, :-1]
 
     @property
     def y(self) -> np.ndarray:
@@ -420,8 +419,8 @@ def _drive(
     A path is kept at the first state its clock reaches each checkpoint (an
     increasing sequence) and then the horizon, where it finishes; a run
     without a horizon takes no checkpoints and keeps each path at its first
-    skeleton event.  The final state is the last checkpoint.  Abscissae are
-    observed before they are kept.
+    skeleton event.  The final state is the store's last column.  Abscissae
+    are observed before they are kept.
 
     Rows taken by the quiet pass (see the module docstring) count as
     iterations; the pass stops before the next compaction, and the
@@ -494,8 +493,8 @@ def _drive(
             draws.compress(live)
             idx, ptr = idx[live], ptr[live]
         if quiet and left:  # the quiet pass
-            m = min(draws.z.shape[0] - draws.i, _COMPACT_EVERY - 1 - iters % _COMPACT_EVERY, max_iter - iters)
-            taken, rel, t, w = _quiet_rows(st, co, draws.z[draws.i : draws.i + m])
+            m = min(_COMPACT_EVERY - 1 - iters % _COMPACT_EVERY, max_iter - iters)
+            taken, rel, t, w = _quiet_rows(st, co, draws, m)
             if taken:
                 draws.i += taken
                 iters += taken
@@ -515,20 +514,20 @@ def _drive(
                 else:
                     st.xvar = np.cumsum(xvar, axis=0)[taken]
                 st.rel, st.t, t_top = rel[taken], t[taken], t[taken].max()
-    kept = {f: arr.reshape(n, k) for f, arr in kept.items()}
+    state = {f: arr.reshape(n, k) for f, arr in kept.items()}
     return BatchRun(
         params,
         dt,
         horizon,
         start_level,
-        **{f: arr[:, -1] for f, arr in kept.items()},
+        **{f: arr[:, -1] for f, arr in state.items()},
         zero_visits=zero_visits,
         ev_path=np.array(ev_path, np.int64),
         ev_dir=np.array(ev_dir, np.int64),
         ev_child=np.array(ev_child, np.int32),
         ev_time=np.array(ev_time),
+        state=state,
         checkpoint_times=checkpoints,
-        checkpoint_state=None if checkpoints is None else {f: arr[:, :-1] for f, arr in kept.items()},
     )
 
 
@@ -538,22 +537,20 @@ def run_batch(
     n_paths: int,
     rng: np.random.Generator,
     checkpoints=None,
-    start_level: int = 0,
-    start_x: float = 0.0,
 ) -> BatchRun:
-    """Simulate n_paths paths from a line start up to the horizon.
+    """Simulate n_paths paths from the origin (abscissa 0 on the root's
+    line) up to the horizon.
 
-    Every path starts at abscissa start_x on the line of the tree vertex
-    TreeVertex(PadicRational.zero(p), start_level) (the root at level 0),
-    and is reported at its first state with clock >= horizon (the overshoot
-    is below one step).  Skeleton events are returned as a flat stream
-    (path id, direction, branch, clock), in per-path time order.
+    Every path is kept at its first state with clock >= each checkpoint and
+    the horizon, its final state (the overshoot is below one step).
+    Skeleton events are returned as a flat stream (path id, direction,
+    branch, clock), in per-path time order.
     """
     cps = None if checkpoints is None else np.asarray(checkpoints, dtype=float)
     if cps is not None and cps.size:
         if np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon:
             raise ValueError("checkpoints must be increasing and within the horizon")
-    st = _Arrays(n_paths, start_level, 0.0, start_x)
+    st = _Arrays(n_paths, 0, 0.0)
     return _drive(params, config.dt, rng, st, horizon=config.horizon, checkpoints=cps)
 
 
@@ -561,7 +558,8 @@ def run_batch(
 class ExitMeasure:
     """First exits from the star around one line: per path the clock, the
     boundary line (down, side -1, or up into branch child) and the abscissa
-    at the moment of its first committed line change."""
+    displacement from the start at the moment of its first committed line
+    change."""
 
     params: ModelParams
     start_level: int
@@ -569,7 +567,12 @@ class ExitMeasure:
     tau: np.ndarray
     side: np.ndarray
     child: np.ndarray
-    x: np.ndarray
+    dx: np.ndarray
+
+    @property
+    def x(self) -> np.ndarray:
+        """The exit abscissae."""
+        return self.start_x + self.dx
 
     @property
     def n(self) -> int:
@@ -591,8 +594,9 @@ class ExitMeasure:
 
     def pulled_back_x(self) -> np.ndarray:
         """Exit abscissae mapped back by the isometry that moves the start
-        line to the base line at the base abscissa."""
-        return (self.x - self.start_x) * self.params.q ** (-self.start_level)
+        line to the base line at the base abscissa: the displacements,
+        scaled by q**-start_level."""
+        return self.dx * self.params.q ** (-self.start_level)
 
 
 def first_exit_batch(
@@ -606,8 +610,10 @@ def first_exit_batch(
     """Run n paths from abscissa start_x on the line at start_level until
     their first skeleton event: samples of the one-step transition of the
     induced walk (exit time, which neighboring line, branch, exit abscissa).
+    The kernel runs each path from abscissa 0: start_x is added only where
+    the exit abscissae are read.
     """
-    run = _drive(params, dt, rng, _Arrays(n, start_level, 0.0, start_x))
+    run = _drive(params, dt, rng, _Arrays(n, start_level, 0.0))
     # a path's only event is its first: its direction is the change of level
     side = (run.level - start_level).astype(np.int8)
     return ExitMeasure(params, start_level, start_x, run.t, side, run.child, run.x)
@@ -645,12 +651,10 @@ def _replay(start: TreeVertex, dirs: list[int], childs: list[int], counts) -> li
     return out
 
 
-def rebuild_vertices(p: int, dirs, childs, start: TreeVertex | None = None) -> list[TreeVertex]:
-    """Anchor vertices after each event: the start vertex (the root by
-    default), then one per event."""
+def rebuild_vertices(p: int, dirs, childs) -> list[TreeVertex]:
+    """Anchor vertices after each event: the root, then one per event."""
     dirs, childs = np.asarray(dirs).tolist(), np.asarray(childs).tolist()
-    start = start if start is not None else TreeVertex.root(p)
-    return _replay(start, dirs, childs, range(len(dirs) + 1))
+    return _replay(TreeVertex.root(p), dirs, childs, range(len(dirs) + 1))
 
 
 def _events_by_path(run: BatchRun):
@@ -675,25 +679,19 @@ def _tree_point(
     return TreePoint(anchor, 1.0 + rel)
 
 
-def final_tree_points(run: BatchRun, checkpoint: int | None = None) -> list[TreePoint]:
-    """Replay the event stream from the start vertex (see run_batch) and
-    return each path's final tree position, or its position at the
-    checkpoint of that index."""
+def final_tree_points(run: BatchRun, checkpoint: int = -1) -> list[TreePoint]:
+    """Replay the event stream from the start vertex, above 0 on the start
+    level (the root for run_batch), and return each path's tree position at
+    the store's column of that index: by default the last, its final state."""
     base = TreeVertex(PadicRational.zero(run.params.p), run.start_level)
     order, starts = _events_by_path(run)
-    if checkpoint is None:
-        side, child, rel = run.side, run.child, run.rel
-        counts = [s1 - s0 for s0, s1 in zip(starts, starts[1:])]
-    else:
-        cs = run.checkpoint_state
-        side, child, rel = (cs[name][:, checkpoint] for name in ("side", "child", "rel"))
-        # a path's events up to its checkpoint are its first n_events
-        counts = cs["n_events"][:, checkpoint].tolist()
+    # a path's events up to the column are its first n_events
+    side, child, rel, counts = (run.state[f][:, checkpoint].tolist() for f in ("side", "child", "rel", "n_events"))
     points = []
     for i, (s0, n) in enumerate(zip(starts, counts)):
         sl = order[s0 : s0 + n]
         anchor = _replay(base, run.ev_dir[sl].tolist(), run.ev_child[sl].tolist(), [n])[0]
-        points.append(_tree_point(anchor, int(side[i]), int(child[i]), float(rel[i])))
+        points.append(_tree_point(anchor, side[i], child[i], rel[i]))
     return points
 
 
@@ -724,11 +722,12 @@ def simulate_path(
     cps = step * np.arange(1, int(config.horizon / step) + 2)
     run = run_batch(params, config, 1, rng, checkpoints=cps[cps < config.horizon])
     cols = ("t", "x", "level", "rel", "side", "child", "n_events")
+    *kept, end = zip(*(run.state[f][0].tolist() for f in cols))
     states = [(0.0, 0.0, 0, 0.0, 0, 0, 0)]  # the origin, on the root's line
-    for state in zip(*(run.checkpoint_state[f][0].tolist() for f in cols)):
+    for state in kept:
         if states[-1][0] < state[0] < config.horizon:
             states.append(state)
-    states.append(tuple(getattr(run, f).item() for f in cols))
+    states.append(end)
     root = TreeVertex.root(params.p)
     anchors = _replay(root, run.ev_dir.tolist(), run.ev_child.tolist(), [s[-1] for s in states])
     successor = functools.cache(TreeVertex.successor)  # records above an anchor share it
@@ -754,12 +753,9 @@ def distance_to_origin(params: ModelParams, x: float, w: TreePoint) -> float:
     return _origin_distance(params)(x, w)
 
 
-def final_points_and_distances(
-    run: BatchRun, checkpoint: int | None = None
-) -> tuple[list[TreePoint], np.ndarray]:
-    """Each path's final tree position, or its position at the checkpoint of
-    that index, and its distance to the origin there."""
-    points = final_tree_points(run, checkpoint=checkpoint)
-    x = run.x if checkpoint is None else run.checkpoint_x[:, checkpoint]
+def final_points_and_distances(run: BatchRun, checkpoint: int = -1) -> tuple[list[TreePoint], np.ndarray]:
+    """Each path's tree position at the store's column of that index (by
+    default its final state), and its distance to the origin there."""
+    points = final_tree_points(run, checkpoint)
     distance = _origin_distance(run.params)
-    return points, np.array([distance(xi, w) for xi, w in zip(x, points)])
+    return points, np.array([distance(xi, w) for xi, w in zip(run.state["x"][:, checkpoint], points)])

@@ -72,23 +72,6 @@ class SkeletonState:
         return self.vertex.level
 
 
-def step_side(params: ModelParams, rng: np.random.Generator) -> int:
-    """One +-1 step of the vertical skeleton walk."""
-    return 1 if rng.random() < prob_up(params) else -1
-
-
-def step_vertex(
-    vertex: TreeVertex, side: int, params: ModelParams, rng: np.random.Generator
-) -> TreeVertex:
-    """Move the tree walk one step: down to the predecessor, or up to a
-    uniformly chosen successor."""
-    if side == -1:
-        return vertex.predecessor()
-    if side == 1:
-        return vertex.successor(rng.integers(params.p))
-    raise ValueError("side must be +1 or -1")
-
-
 def _spectrum(params: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     """The k largest zeros lam_k < 0 of r and the residues R_k of the
     sojourn transform there.

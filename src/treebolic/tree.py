@@ -197,10 +197,7 @@ def cone_contains(v: TreeVertex, target: TreeVertex | TreePoint | TreeEnd) -> bo
         return (target.value - v.center).valuation() >= v.level
     if isinstance(target, TreePoint):
         target = target.upper if target.is_vertex else target.upper.predecessor()
-    return (
-        target.level >= v.level
-        and (target.center - v.center).valuation() >= v.level
-    )
+    return confluent(v, target) is v
 
 
 def boundary_mass(v: TreeVertex) -> float:

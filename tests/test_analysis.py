@@ -13,7 +13,8 @@ from treebolic.closed_forms import (
     exp_tau,
     prob_up,
 )
-from treebolic.skeleton import RngStream, step_vertex
+from treebolic.pathsim import rebuild_vertices
+from treebolic.skeleton import RngStream
 from treebolic.tree import TreeVertex, cone_contains
 
 BASE = ModelParams(2.0, 2, 1.0, 0.5)  # rho = 1
@@ -182,16 +183,16 @@ class TestConeOracle:
         assert 2 * h1 < 1.0  # part of the mass escapes below the root
 
     def test_against_direct_walk_simulation(self):
-        # independent route: run the exact induced walk and count limiting
-        # cone membership (60 steps at rho = 2 pin the limit with high odds)
+        # independent route: run the exact induced walk (drawn sides and
+        # branches) and count limiting cone membership (60 steps at rho = 2
+        # pin the limit with high odds)
         rng = RngStream(26).generator()
         target = TreeVertex.root(2).successors()[0]
         up = prob_up(DRIFTED)
         n, hits = 2500, 0
         for _ in range(n):
-            v = TreeVertex.root(2)
-            for _ in range(60):
-                v = step_vertex(v, 1 if rng.random() < up else -1, DRIFTED, rng)
+            sides = np.where(rng.random(60) < up, 1, -1)
+            v = rebuild_vertices(2, sides, rng.integers(2, size=60))[-1]
             hits += cone_contains(target, v)
         h = analysis.cone_hitting_probability(DRIFTED, 1)
         assert abs(hits / n - h) <= 3.5 * math.sqrt(h * (1 - h) / n)

@@ -238,11 +238,16 @@ class TestAnalysisCommands:
         assert far["x_summary"]["variance"] == pytest.approx(base["x_summary"]["variance"], rel=1e-9)
 
     def test_exit_measure_where_the_increments_round_away(self, capsys):
-        # at abscissa 1e17 (spacing 16) the O(1) exit increments round to 0:
-        # the pulled-back sample has no variance, so no skewness
-        assert main(["exit-measure", *_MODEL, "--samples", "50", "--dt", "1e-3", "--start-x", "1e17"]) == 2
-        out = capsys.readouterr()
-        assert not out.out and "zero variance" in out.err
+        # added to an abscissa of 1e17 (spacing 16) the O(1) exit increments
+        # would round to 0; the pulled-back sample is the displacement, so
+        # every start abscissa reads as 0
+        flags = [*_MODEL, "--samples", "50", "--dt", "1e-3", "--seed", "3"]
+        reports = []
+        for start in ("0", "1e15", "1e16", "1e17"):
+            code, out = run_cli(capsys, "exit-measure", *flags, "--start-x", start)
+            assert code == 0
+            reports.append({k: json.loads(out)[k] for k in ("line_masses", "x_skewness", "x_summary")})
+        assert all(report == reports[0] for report in reports)
 
     def test_boundary_critical(self, capsys):
         code, out = run_cli(

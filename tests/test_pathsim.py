@@ -112,9 +112,9 @@ class TestConfig:
             sampler(BASE, 4, RngStream(1).generator(), dt=dt)
 
 
-def _one_step(params, dt, rng, rel=0.0, x=0.0):
+def _one_step(params, dt, rng, rel=0.0):
     """One kernel step of a single planar path anchored at the root line."""
-    st = _Arrays(1, 0, rel, x)
+    st = _Arrays(1, 0, rel)
     draws = _DrawBlock(rng)
     eids, dirs, _ = _advance(st, _coeffs(params, dt), draws.next(1), draws)
     return st, eids, dirs
@@ -126,25 +126,25 @@ class TestKernelStep:
         # while its variance accrues: q**(2 Y) at the pre-step height, in
         # units of 2 dt at level 0
         m = ModelParams(2.0, 2, 0.0, 1.0)  # drift (1 - 0)/log 2
-        st, eids, _ = _one_step(m, 1e-3, _FakeRng(0.0), rel=-0.5, x=1.25)
+        st, eids, _ = _one_step(m, 1e-3, _FakeRng(0.0), rel=-0.5)
         assert st.rel[0] == pytest.approx(-0.5 + 1e-3 / math.log(2.0))
-        assert st.x[0] == 1.25
+        assert st.x[0] == 0.0
         assert st.xvar[0] == pytest.approx(2.0**-1.0)
         assert st.t[0] == pytest.approx(1e-3)
         assert eids.size == 0 and st.level[0] == 0 and st.side[0] != 0
 
     def test_observation_draws_the_accrued_variance(self):
         co = _coeffs(BASE, 1e-3)
-        st = _Arrays(2, 0, -0.5, 1.0)
+        st = _Arrays(2, 0, -0.5)
         st.xvar[:] = [0.25, 4.0]
         _observe(st, co, _FakeRng(1.5), np.array([1]))
-        assert st.x.tolist() == [1.0, 1.0 + 1.5 * math.sqrt(2e-3 * 4.0)]
+        assert st.x.tolist() == [0.0, 1.5 * math.sqrt(2e-3 * 4.0)]
         assert st.xvar.tolist() == [0.25, 0.0]
 
     def test_observation_at_a_large_level(self):
         # q**(2 level) overflows at level 600 with q = 2; q**level does not
         co = _coeffs(BASE, 1e-3)
-        st = _Arrays(1, 600, -0.5, 0.0)
+        st = _Arrays(1, 600, -0.5)
         st.xvar[:] = 1.0
         _observe(st, co, _FakeRng(1.0), np.array([0]))
         assert st.x[0] == pytest.approx(math.sqrt(2e-3) * 2.0**600)
@@ -187,6 +187,31 @@ class TestKernelStep:
         assert st.level[0] == -1 and st.n_events[0] == 1
         assert st.side[0] == 0 and st.rel[0] == 0.0
         assert _walk(ROOT, dirs, st.child[eids])[-1] == ROOT.predecessor()
+
+
+class TestDrawBlock:
+    def test_compaction_keeps_each_paths_column(self):
+        draws = _DrawBlock(np.random.default_rng(4))
+        ids = np.arange(6)  # the path of each current slot
+        rows = [(draws.next(6), ids)]
+        block = draws.z.copy()  # 256 rows of 6 columns
+        for keep in ([1, 0, 1, 1, 0, 1], [0, 1, 1, 1]):  # two compactions inside the block
+            rows += [(draws.next(ids.size), ids) for _ in range(5)]
+            keep = np.array(keep, bool)
+            draws.compress(keep)
+            ids = ids[keep]
+        assert ids.tolist() == [2, 3, 5]
+        # the unread rows, ending with the block
+        assert np.array_equal(draws.ahead(1000), block[len(rows) :, ids])
+        rows += [(draws.next(ids.size), ids) for _ in range(len(block) - len(rows))]
+        # each surviving path read its own column to the end of the block
+        for r, (row, cols) in enumerate(rows):
+            assert np.array_equal(row, block[r, cols])
+        # the next block is drawn at the surviving width
+        after = draws.next(3)
+        gen = np.random.default_rng(4)
+        gen.standard_normal(block.shape)
+        assert draws.z.shape == (256, 3) and np.array_equal(after, gen.standard_normal((256, 3))[0])
 
 
 _PARAMS = hst.builds(
@@ -279,8 +304,8 @@ class TestKernelProperties:
         horizon = steps * dt
         cps = np.unique(np.append(np.asarray(before) * horizon, horizon))
         run = run_batch(params, SimConfig(dt=dt, horizon=horizon), width, np.random.default_rng(seed), checkpoints=cps)
-        for f, a in run.checkpoint_state.items():
-            assert a[:, -1].tobytes() == getattr(run, f).tobytes(), f
+        for f, a in run.state.items():
+            assert a[:, -2].tobytes() == a[:, -1].tobytes() == getattr(run, f).tobytes(), f
 
     def test_a_finished_path_takes_no_more_steps(self, monkeypatch):
         # 50 steps to the horizon, not a multiple of the compaction interval;
@@ -325,16 +350,32 @@ class TestKernelProperties:
             cps = np.unique(np.asarray(value, dtype=float) * horizon)
         st = _Arrays(6, 0, 0.0)
         run = _drive(DRIFTED, dt, np.random.default_rng(seed), st, horizon=horizon, checkpoints=cps)
-        t = run.checkpoint_state["t"]
+        t = run.state["t"][:, :-1]
         # a step adds at most dt: the first clock at or after cp is at most
         # cp + dt, which it reaches only by rounding
         assert np.all(t >= cps) and np.all(t <= cps + dt)
         assert np.all(np.diff(t, axis=1) >= 0)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        params=_PARAMS.filter(lambda m: m.q >= 2.0),
+        dt=hst.floats(1e-4, 5e-3),
+        steps=hst.integers(1, 300),
+        width=hst.integers(1, 300),
+        level=hst.integers(-2, 3),
+        seed=hst.integers(0, 2**32 - 1),
+    )
+    def test_final_event_counts_are_the_stream_counts(self, params, dt, steps, width, level, seed):
+        # the replay of a path's final state takes its first n_events events
+        st = _Arrays(width, level, 0.0)
+        run = _drive(params, dt, np.random.default_rng(seed), st, horizon=steps * dt)
+        assert np.array_equal(run.state["n_events"][:, -1], np.bincount(run.ev_path, minlength=width))
 
-def _no_rows(st, co, z):
+
+
+def _no_rows(st, co, draws, m):
     """The quiet pass, taking no rows: every step is a kernel call."""
-    return _quiet_rows(st, co, z[:0])
+    return _quiet_rows(st, co, draws, 0)
 
 
 def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, cps, level=0):
@@ -371,7 +412,7 @@ def _drive_with_and_without_the_pass(params, dt, make_rng, width, rel, horizon, 
                 kept.append(repr(exc))
                 continue
         arrays = {f: a for f, a in vars(run).items() if isinstance(a, np.ndarray)}
-        arrays.update({"checkpoint " + f: a for f, a in (run.checkpoint_state or {}).items()})
+        arrays.update({"state " + f: a for f, a in run.state.items()})
         kept.append(({f: (a.dtype, a.shape, a.tobytes()) for f, a in arrays.items()}, rng.bit_generator.state))
     return kept[0], kept[1], sum(taken), met
 
@@ -527,11 +568,12 @@ class TestSymmetries:
         assert np.allclose(a.x, -b.x)
 
     def test_translation_equivariance(self):
-        cfg = SimConfig(dt=2e-4, horizon=0.5)
-        a = run_batch(BASE, cfg, 64, np.random.default_rng(1), start_x=0.0)
-        b = run_batch(BASE, cfg, 64, np.random.default_rng(1), start_x=5.0)
-        assert (a.y == b.y).all()
-        assert np.allclose(b.x - 5.0, a.x)
+        # the kernel runs on the displacement: a start abscissa moves no draw
+        a = first_exit_batch(BASE, 64, np.random.default_rng(1), dt=2e-4, start_x=0.0)
+        b = first_exit_batch(BASE, 64, np.random.default_rng(1), dt=2e-4, start_x=5.0)
+        assert a.tau.tobytes() == b.tau.tobytes() and a.dx.tobytes() == b.dx.tobytes()
+        assert np.array_equal(b.x, 5.0 + b.dx) and np.array_equal(a.x, a.dx)
+        assert a.pulled_back_x().tobytes() == b.pulled_back_x().tobytes()
 
     def test_determinism(self):
         cfg = SimConfig(dt=5e-4, horizon=0.3)
@@ -680,9 +722,7 @@ class TestHorizonRuns:
             assert w.hor == pytest.approx(run.y[i])
 
     def test_final_tree_points_from_the_start_level(self):
-        run = run_batch(
-            DRIFTED, SimConfig(dt=1e-3, horizon=0.5), 5, np.random.default_rng(1), start_level=2
-        )
+        run = _drive(DRIFTED, 1e-3, np.random.default_rng(1), _Arrays(5, 2, 0.0), horizon=0.5)
         start = TreeVertex(PadicRational.zero(2), 2)
         for i, w in enumerate(final_tree_points(run)):
             assert w.hor == pytest.approx(run.y[i])
@@ -697,7 +737,7 @@ class TestHorizonRuns:
             DRIFTED, SimConfig(dt=dt, horizon=2.0), 100, RngStream(22).generator(),
             checkpoints=[1.0, 2.0],
         )
-        cs = run.checkpoint_state
+        cs = run.state
         t_cp = cs["t"][:, 0]
         assert (t_cp >= 1.0).all() and (t_cp < 1.0 + dt).all()
         # oracle: replay each path's events up to its checkpoint clock
@@ -778,7 +818,7 @@ class TestTrajectories:
         run = run_batch(
             DRIFTED, SimConfig(dt=dt, horizon=horizon), 1, RngStream(seed).generator(), checkpoints=cps
         )
-        cs = {f: a[0] for f, a in run.checkpoint_state.items()}
+        cs = {f: a[0, :-1] for f, a in run.state.items()}
         ts = [r.t for r in recs]
         assert ts[0] == 0.0 and recs[0].vertex == ROOT
         assert all(b > a for a, b in zip(ts, ts[1:]))
@@ -837,7 +877,7 @@ def test_replay_matches_the_oracle_walk(p, level, num, denom, moves, data):
     counts = sorted(data.draw(hst.lists(hst.integers(0, len(dirs)), min_size=1, max_size=6)))
     assert _replay(start, dirs, childs, counts) == [walk[n] for n in counts]
     assert _replay(start, dirs, childs, [0, len(dirs)]) == [start, walk[-1]]
-    assert rebuild_vertices(p, dirs, childs, start) == walk
+    assert _replay(start, dirs, childs, range(len(dirs) + 1)) == walk
 
 
 @pytest.mark.parametrize("params", [DRIFTED, ModelParams(2.0, 3, 2.5, 0.5), ModelParams(1.5, 1, 1.0, 1.0)])
@@ -851,7 +891,7 @@ def test_skeleton_vertices_are_the_oracle_walk(params):
 
 
 def test_origin_state_roundtrip():
-    st = _Arrays(1, 0, 0.0, 0.0)
+    st = _Arrays(1, 0, 0.0)
     w = _tree_point(ROOT, int(st.side[0]), int(st.child[0]), float(st.rel[0]))
     assert HTPoint(float(st.x[0]), w) == origin(HTParams(2.0, 2))
     assert w.upper == ROOT

@@ -22,8 +22,6 @@ from treebolic.skeleton import (
     _spectrum,
     run_skeleton,
     sample_tau_batch,
-    step_side,
-    step_vertex,
 )
 from treebolic.tree import TreeVertex
 
@@ -48,59 +46,36 @@ class TestRngStream:
         assert not (a == b).all()
 
 
-class TestStepSide:
-    def test_symmetric(self):
-        rng = RngStream(0).generator()
-        draws = [step_side(BASE, rng) for _ in range(20000)]
-        up = np.mean(np.array(draws) == 1)
-        assert abs(up - 0.5) <= 3 * math.sqrt(0.25 / 20000)
-
-    def test_drifted(self):
-        rng = RngStream(1).generator()
-        draws = [step_side(DRIFTED, rng) for _ in range(20000)]
-        up = np.mean(np.array(draws) == 1)
-        assert abs(up - 2.0 / 3.0) <= 3 * math.sqrt(2.0 / 9.0 / 20000)
-
-    def test_deterministic_sequence(self):
-        s1 = [step_side(DRIFTED, RngStream(5).generator()) for _ in range(1)]
-        s2 = [step_side(DRIFTED, RngStream(5).generator()) for _ in range(1)]
-        assert s1 == s2
+def _steps(params, n, seed):
+    """The (from, to) vertex pairs of the steps of one run_skeleton walk."""
+    vs = [st.vertex for st in run_skeleton(params, n, RngStream(seed).generator())]
+    return list(zip(vs, vs[1:]))
 
 
 class TestStepVertex:
+    """The vertex steps of run_skeleton: down to the predecessor, or up to a
+    uniformly chosen successor."""
+
     def test_down_is_predecessor(self):
-        rng = RngStream(2).generator()
-        v = TreeVertex.root(2).successors()[1]
-        assert step_vertex(v, -1, BASE, rng) == v.predecessor()
+        down = [(v, w) for v, w in _steps(BASE, 400, 2) if w.level < v.level]
+        assert down and all(w == v.predecessor() for v, w in down)
 
     def test_up_changes_level_by_one(self):
-        rng = RngStream(3).generator()
-        v = TreeVertex.root(2)
-        for _ in range(50):
-            w = step_vertex(v, 1, BASE, rng)
-            assert w.hor == v.hor + 1 and w.predecessor() == v
-            v = w
+        up = [(v, w) for v, w in _steps(BASE, 400, 3) if w.level >= v.level]
+        assert up and all(w.hor == v.hor + 1 and w.predecessor() == v for v, w in up)
 
     def test_branching_one_deterministic(self):
         m = ModelParams(2.0, 1, 1.0, 1.0)
-        rng = RngStream(4).generator()
-        v = TreeVertex.root(1)
-        assert step_vertex(v, 1, m, rng) == v.successors()[0]
+        for v, w in _steps(m, 400, 4):
+            assert w == (v.successors()[0] if w.level > v.level else v.predecessor())
 
     def test_children_uniform(self):
-        rng = RngStream(5).generator()
-        v = TreeVertex.root(2)
-        kids = v.successors()
-        counts = np.zeros(2)
-        n = 30000
-        for _ in range(n):
-            counts[kids.index(step_vertex(v, 1, BASE, rng))] += 1
-        for c in counts:
-            assert abs(c / n - 0.5) <= 3 * math.sqrt(0.25 / n)
-
-    def test_invalid_side(self):
-        with pytest.raises(ValueError):
-            step_vertex(TreeVertex.root(2), 0, BASE, RngStream(6).generator())
+        for params in (BASE, ModelParams(2.0, 3, 1.0, 1.0 / 3.0)):  # rho = 1: the walk stays shallow
+            p = params.p
+            branches = [v.successors().index(w) for v, w in _steps(params, 30000, 5) if w.level > v.level]
+            n = len(branches)
+            for c in np.bincount(branches, minlength=p):
+                assert abs(c / n - 1.0 / p) <= 3 * math.sqrt((1.0 / p) * (1.0 - 1.0 / p) / n)
 
 
 def _brownian_survival(params, t, terms=4000):

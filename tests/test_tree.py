@@ -266,6 +266,26 @@ def test_confluents_match_the_valuation_formula(pair, offsets):
         assert tree_distance(x, y) == px.hor + py.hor - 2.0 * want.hor
 
 
+def _on_the_ray(v, w):
+    """Whether v lies on w's ray to omega, by walking w's predecessors down
+    to the level of v: the oracle for cone_contains."""
+    if w.level < v.level:
+        return False
+    while w.level > v.level:
+        w = w.predecessor()
+    return w == v
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_vertex_pairs(), offset=hst.floats(0.0, 1.0))
+def test_cone_contains_matches_the_ray_walk(pair, offset):
+    v, w = pair
+    assert cone_contains(v, w) == _on_the_ray(v, w)
+    # a point inside the edge below w is on the ray of w's predecessor
+    point = TreePoint(w, max(offset, 2.0**-60))
+    assert cone_contains(v, point) == _on_the_ray(v, w if point.is_vertex else w.predecessor())
+
+
 @pytest.mark.parametrize("p, q", [(2, 3), (1, 2), (4, 2)])
 def test_confluent_rejects_a_base_mismatch(p, q):
     v, w = TreeVertex.root(p), TreeVertex.root(q)
