@@ -30,6 +30,7 @@ from .closed_forms import (
     is_critical,
     prob_up,
 )
+from .tree import cone_contains
 
 # -- summaries and KS distances ---------------------------------------------
 
@@ -296,8 +297,6 @@ def cone_hitting_probability(
 def cone_masses(tree_points, ancestors) -> np.ndarray:
     """Empirical masses of the cones of the given vertices among final tree
     positions."""
-    from .tree import cone_contains
-
     out = np.empty(len(ancestors))
     for i, v in enumerate(ancestors):
         out[i] = np.mean([cone_contains(v, w) for w in tree_points])

@@ -177,6 +177,9 @@ class PadicRational:
         )
 
     def __hash__(self):
+        # an integral value equals its int, so it must hash as one
+        if self.denom_exp == 0:
+            return hash(self.num)
         return hash((self.p, self.num, self.denom_exp))
 
     def __repr__(self):

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .halfplane import hyp_distance
-from .tree import TreePoint, TreeVertex, confluent_point, tree_distance
+from .tree import TreePoint, TreeVertex, confluent, tree_distance
 
 #: Half the sandwich gap: log(1 + sqrt 2).
 DELTA = math.log(1.0 + math.sqrt(2.0))
@@ -117,12 +117,11 @@ def ht_distance(params: HTParams, a: HTPoint, b: HTPoint) -> float:
     two points share a half-plane copy and the distance is hyperbolic;
     otherwise the path must pass through the line at the confluent's level.
     """
-    conf = confluent_point(a.w, b.w)
+    c = confluent(a.w.upper, b.w.upper)
     z1, z2 = z_of(params, a), z_of(params, b)
-    if conf is a.w or conf is b.w:
+    if c is a.w.upper or c is b.w.upper:
         return hyp_distance(z1, z2)
-    y_cross = params.q**conf.hor
-    return _crossing_min(z1, z2, y_cross)
+    return _crossing_min(z1, z2, params.q**c.level)
 
 
 def sandwich(params: HTParams, a: HTPoint, b: HTPoint) -> tuple[float, float, float]:

@@ -8,9 +8,9 @@ Busemann value ``hor``.  Edges are unit intervals, parametrized by an offset
 t in (0, 1] measured from the predecessor, so a vertex is the point with
 t = 1 on its lower edge.
 
-Confluents (last common points of the rays toward omega) reduce to
-valuations of center differences, taken on Python integers (the centers
-scaled to a common denominator), which makes distances O(1) and exact.
+Confluents (last common points of the rays toward omega) sit at the level
+min(level v, level w, valuation of the center difference), which one routine
+takes on Python integers for confluents, distances and cones alike.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ class TreeVertex:
     __slots__ = ("center", "level")
 
     def __init__(self, center: PadicRational, level: int):
-        if not isinstance(level, int):
+        if not isinstance(level, int) or isinstance(level, bool):
             raise ValueError("level must be an int")
         object.__setattr__(self, "center", center.ball_center(level))
         object.__setattr__(self, "level", level)
@@ -139,54 +139,44 @@ class TreeEnd:
 OMEGA = TreeEnd()
 
 
+def _meet_level(a: PadicRational, b: PadicRational, cap: int) -> int:
+    """min(cap, valuation of a - b): with a, b the centers of two vertices
+    and cap the lower of their levels, the level of their confluent."""
+    p = a.p
+    if p != b.p:
+        raise ValueError("base mismatch")
+    # scaled by p**e the difference is the integer d, whose factors of p
+    # count only up to the cap
+    e = max(a.denom_exp, b.denom_exp)
+    d = a.num * p ** (e - a.denom_exp) - b.num * p ** (e - b.denom_exp)
+    if not d:
+        return cap
+    k = -e
+    while k < cap and d % p == 0:
+        d //= p
+        k += 1
+    return min(cap, k)
+
+
 def confluent(v: TreeVertex, w: TreeVertex) -> TreeVertex:
     """Maximal common ancestor of two vertices with respect to omega: v or w
     itself when one lies on the other's ray, else a new vertex."""
-    if v.p != w.p:
-        raise ValueError("base mismatch")
-    # the level is min(level v, level w, valuation of the center
-    # difference); scaled by p**e the difference is the integer d, whose
-    # factors of p count only up to the lower level
-    j, p, a, b = min(v.level, w.level), v.p, v.center, w.center
-    e = max(a.denom_exp, b.denom_exp)
-    d = a.num * p ** (e - a.denom_exp) - b.num * p ** (e - b.denom_exp)
-    if d:
-        k = -e
-        while k < j and d % p == 0:
-            d //= p
-            k += 1
-        j = min(j, k)
+    j = _meet_level(v.center, w.center, min(v.level, w.level))
     if j == v.level:
         return v
     if j == w.level:
         return w
-    return TreeVertex(a, j)
-
-
-def _as_point(w: TreeVertex | TreePoint) -> TreePoint:
-    return TreePoint.at_vertex(w) if isinstance(w, TreeVertex) else w
-
-
-def confluent_point(w1: TreeVertex | TreePoint, w2: TreeVertex | TreePoint) -> TreePoint:
-    """Confluent of two metric-tree points: where their rays to omega merge.
-    When one lies on the other's ray it is that point, the argument itself
-    if it is a TreePoint."""
-    a, b = _as_point(w1), _as_point(w2)
-    ua, ub = a.upper, b.upper
-    c = confluent(ua, ub)
-    if c.level == ua.level == ub.level:  # one edge
-        return a if a.offset <= b.offset else b
-    if c.level == ua.level:
-        return a
-    if c.level == ub.level:
-        return b
-    return TreePoint.at_vertex(c)
+    return TreeVertex(v.center, j)
 
 
 def tree_distance(w1: TreeVertex | TreePoint, w2: TreeVertex | TreePoint) -> float:
-    """Geodesic length in the metric tree (graph distance on vertices)."""
-    a, b = _as_point(w1), _as_point(w2)
-    return a.hor + b.hor - 2.0 * confluent_point(a, b).hor
+    """Geodesic length in the metric tree (graph distance on vertices): the
+    heights of the two points above their confluent."""
+    u1 = w1 if isinstance(w1, TreeVertex) else w1.upper
+    u2 = w2 if isinstance(w2, TreeVertex) else w2.upper
+    h1, h2 = w1.hor, w2.hor
+    j = _meet_level(u1.center, u2.center, min(u1.level, u2.level))
+    return h1 + h2 - 2.0 * min(h1, h2, j)
 
 
 def cone_contains(v: TreeVertex, target: TreeVertex | TreePoint | TreeEnd) -> bool:
@@ -194,7 +184,8 @@ def cone_contains(v: TreeVertex, target: TreeVertex | TreePoint | TreeEnd) -> bo
     if isinstance(target, TreeEnd):
         if target.is_omega:
             return False
-        return (target.value - v.center).valuation() >= v.level
+        # an end lies above every level, so only v's level caps the meet
+        return _meet_level(target.value, v.center, v.level) == v.level
     if isinstance(target, TreePoint):
         target = target.upper if target.is_vertex else target.upper.predecessor()
     return confluent(v, target) is v

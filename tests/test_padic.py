@@ -149,6 +149,22 @@ class TestBallCenter:
         assert all(c.digit(k) == 0 for k in range(m, m + 12))
 
 
+def test_integral_values_hash_as_ints():
+    # equal to its int, so a set or dict finds one by the other
+    assert pr(3) == 3 and hash(pr(3)) == hash(3)
+    assert 3 in {pr(3)} and pr(3) in {3}
+    assert {pr(-4, p=3): "x"}[-4] == "x" and {-4: "x"}[pr(-4, p=3)] == "x"
+    assert pr(3, 1) not in {3, 1}
+
+
+@given(rationals)
+def test_equal_values_hash_alike(u):
+    twin = PadicRational(u.p, u.num * u.p**3, u.denom_exp + 3)  # the same value
+    assert twin == u and hash(twin) == hash(u)
+    if u.denom_exp == 0:
+        assert u == u.num and hash(u) == hash(u.num) and u.num in {u}
+
+
 def test_repr_forms():
     assert repr(pr(3, 2)) == "3/2^2"
     assert repr(pr(-5)) == "-5"

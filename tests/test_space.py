@@ -15,7 +15,7 @@ from treebolic.space import (
     tree_measure_density,
     z_of,
 )
-from treebolic.tree import TreePoint, TreeVertex, confluent_point
+from treebolic.tree import TreePoint, TreeVertex, confluent
 
 GEO = HTParams(2.0, 2)
 ROOT = TreeVertex.root(2)
@@ -72,7 +72,7 @@ class TestDistanceCases:
             for _ in range(steps):
                 v = v.predecessor()
             b = HTPoint(float(rng.normal(0, 3)), TreePoint(v, 1.0 - float(rng.random())))
-            if confluent_point(a.w, b.w) not in (a.w, b.w):
+            if confluent(a.w.upper, b.w.upper) not in (a.w.upper, b.w.upper):
                 continue
             d = ht_distance(GEO, a, b)
             assert d == pytest.approx(hyp_distance(z_of(GEO, a), z_of(GEO, b)), abs=1e-9)
@@ -101,12 +101,12 @@ class TestCrossingSearch:
         checked = 0
         while checked < 60:
             a, b = _random_point(rng), _random_point(rng)
-            conf = confluent_point(a.w, b.w)
-            if conf == a.w or conf == b.w:
+            conf = confluent(a.w.upper, b.w.upper)
+            if conf == a.w.upper or conf == b.w.upper:
                 continue
             checked += 1
             z1, z2 = z_of(GEO, a), z_of(GEO, b)
-            yc = GEO.q**conf.hor
+            yc = GEO.q**conf.level
             lo, hi = min(z1.real, z2.real), max(z1.real, z2.real)
             xs = np.linspace(lo, hi, 40001)
             fs = [
@@ -127,12 +127,12 @@ class TestCrossingSearch:
         checked = 0
         while checked < 80:
             a, b = _random_point(rng, x_scale=6.0), _random_point(rng, x_scale=6.0)
-            conf = confluent_point(a.w, b.w)
-            if conf == a.w or conf == b.w:
+            conf = confluent(a.w.upper, b.w.upper)
+            if conf == a.w.upper or conf == b.w.upper:
                 continue
             checked += 1
             z1, z2 = z_of(GEO, a), z_of(GEO, b)
-            yc = GEO.q**conf.hor
+            yc = GEO.q**conf.level
             lo, hi = min(z1.real, z2.real), max(z1.real, z2.real)
             pad = max(1.0, hi - lo)
             xs = np.linspace(lo - pad, hi + pad, 8001)

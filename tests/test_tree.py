@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from treebolic.padic import PadicRational
@@ -12,7 +12,6 @@ from treebolic.tree import (
     boundary_mass,
     cone_contains,
     confluent,
-    confluent_point,
     tree_distance,
 )
 
@@ -70,16 +69,6 @@ class TestConfluent:
         # centers 1 and 3 at level 2 differ by 2, so they merge one level down
         assert confluent(vert(1, 2), vert(3, 2)) == vert(1, 1)
 
-    def test_point_confluent_on_common_ray(self):
-        a = TreePoint(vert(1, 1), 0.25)
-        b = TreePoint(vert(3, 2), 0.5)  # 3 = 1 + 2: above (1)@1
-        assert confluent_point(a, b) == a
-
-    def test_point_confluent_same_edge(self):
-        lo = TreePoint(vert(1, 1), 0.25)
-        hi = TreePoint(vert(1, 1), 0.75)
-        assert confluent_point(lo, hi) == lo
-
 
 class TestHor:
     def test_edge_point(self):
@@ -91,8 +80,8 @@ class TestHor:
             v = ROOT
             for _ in range(rng.integers(0, 10)):
                 v = v.predecessor() if rng.random() < 0.4 else v.successors()[rng.integers(2)]
-            b = confluent_point(TreePoint.at_vertex(v), TreePoint.at_vertex(ROOT))
-            assert v.hor == tree_distance(v, b.upper) - tree_distance(ROOT, b.upper)
+            b = confluent(v, ROOT)
+            assert v.hor == tree_distance(v, b) - tree_distance(ROOT, b)
 
     def test_predecessor_drops_one(self):
         rng = np.random.default_rng(2)
@@ -172,6 +161,12 @@ def test_vertex_repr():
     assert repr(vert(3, 2)) == "(3)@2"
 
 
+def test_vertex_level_validation():
+    for level in (1.0, True):  # a bool is an int to isinstance
+        with pytest.raises(ValueError):
+            TreeVertex(PadicRational(2, 1), level)
+
+
 def test_point_offset_validation():
     with pytest.raises(ValueError):
         TreePoint(ROOT, 0.0)
@@ -249,6 +244,9 @@ def _vertex_pairs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(pair=_vertex_pairs(), offsets=hst.tuples(hst.floats(0.0, 1.0), hst.floats(0.0, 1.0)))
+# points on a common ray (3 = 1 + 2: (3)@2 is above (1)@1) and on one edge
+@example(pair=(vert(1, 1), vert(3, 2)), offsets=(0.25, 0.5))
+@example(pair=(vert(1, 1), vert(1, 1)), offsets=(0.25, 0.75))
 def test_confluents_match_the_valuation_formula(pair, offsets):
     v, w = pair
     c, want = confluent(v, w), _valuation_confluent(v, w)
@@ -259,10 +257,6 @@ def test_confluents_match_the_valuation_formula(pair, offsets):
     for x, y in ((a, b), (b, a), (v, b), (a, w), (v, w)):
         px, py = _as_point(x), _as_point(y)
         want = _valuation_confluent_point(px, py)
-        assert confluent_point(x, y) == want
-        for arg, point in ((x, px), (y, py)):
-            if want is point and arg is point:  # a TreePoint argument is the confluent
-                assert confluent_point(x, y) is arg
         assert tree_distance(x, y) == px.hor + py.hor - 2.0 * want.hor
 
 
@@ -286,6 +280,20 @@ def test_cone_contains_matches_the_ray_walk(pair, offset):
     assert cone_contains(v, point) == _on_the_ray(v, w if point.is_vertex else w.predecessor())
 
 
+@settings(max_examples=300, deadline=None)
+@given(pair=_vertex_pairs(), data=hst.data())
+def test_cone_contains_an_end_matches_the_valuation(pair, data):
+    v, w = pair
+    p = v.p
+    num = 0 if p == 1 else data.draw(hst.integers(-(p**320), p**320))
+    other = PadicRational(p, num, data.draw(hst.integers(0, 320)))
+    # its leading digit lands within two levels of v's, where the answer turns
+    lead = 0 if other.is_zero else v.level - other.valuation()
+    for u in (v.center, w.center, v.center + other.shift(lead + data.draw(hst.integers(-2, 1)))):
+        # the oracle: the end's ray passes v when u lies in v's ball
+        assert cone_contains(v, TreeEnd(u)) == ((u - v.center).valuation() >= v.level)
+
+
 @pytest.mark.parametrize("p, q", [(2, 3), (1, 2), (4, 2)])
 def test_confluent_rejects_a_base_mismatch(p, q):
     v, w = TreeVertex.root(p), TreeVertex.root(q)
@@ -293,6 +301,6 @@ def test_confluent_rejects_a_base_mismatch(p, q):
         with pytest.raises(ValueError):
             confluent(x, y)
         with pytest.raises(ValueError):
-            confluent_point(TreePoint(x, 0.5), y)
-        with pytest.raises(ValueError):
             tree_distance(x, TreePoint(y, 0.5))
+        with pytest.raises(ValueError):
+            cone_contains(x, TreeEnd(y.center))
