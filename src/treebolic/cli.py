@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, analysis
 from . import closed_forms as cf
-from .acceptance import AcceptanceSuite
+from .acceptance import MASTER_SEED, AcceptanceSuite
 from .closed_forms import ClosedForms, ModelParams
 from .isometry import bs_word, modular
 from .pathsim import (
@@ -434,7 +434,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the acceptance suite")
     p.add_argument("--quick", action="store_true", help="reduced sample sizes")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=MASTER_SEED)
     p.set_defaults(func=_cmd_verify)
     return parser
 
@@ -442,10 +442,6 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify" and args.seed is None:
-        from .acceptance import MASTER_SEED
-
-        args.seed = MASTER_SEED
     try:
         if args.emit_config:
             resolved = {k: v for k, v in vars(args).items() if k not in ("func", "emit_config")}

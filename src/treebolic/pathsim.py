@@ -9,11 +9,11 @@ of the generator, evaluated at the pre-step height.  Per step:
     dx = sqrt 2 * q**Y dB1
 
 State is anchored at the last-touched line: a path stores that line's level,
-the height offset rel in (-1, 1) relative to it, and which side of the line
-(and, going up, which of the p forward branches) the current excursion
-occupies.  When the offset reaches +-1 the path commits to a neighboring
-line: that is a skeleton event, the anchor moves, and the event is recorded
-so the tree position can be replayed afterwards.
+the height offset rel in (-1, 1) relative to it (0 on the line), whose sign
+is the side of the line the current excursion occupies, and, going up, which
+of the p forward branches it is in.  When the offset reaches +-1 the path
+commits to a neighboring line: that is a skeleton event, the anchor moves,
+and the event is recorded so the tree position can be replayed afterwards.
 
 Line touches and boundary hits are interpolated inside the step, which then
 counts for its fraction of dt; a Brownian-bridge test catches steps that
@@ -141,18 +141,17 @@ def _coeffs(params: ModelParams, dt: float) -> _Coeffs:
 
 
 class _Arrays:
-    """Mutable per-path state: anchor level, offset, clock, excursion side
-    (0 on the line) and branch, events so far, the abscissa displacement at
-    its last observation and the variance accrued since, in units of
-    2 dt q**(2 level)."""
+    """Mutable per-path state: anchor level, offset (0 on the line; its sign
+    is the excursion's side), clock, branch, events so far, the abscissa
+    displacement at its last observation and the variance accrued since, in
+    units of 2 dt q**(2 level)."""
 
-    __slots__ = ("t", "x", "level", "rel", "side", "child", "n_events", "xvar")
+    __slots__ = ("t", "x", "level", "rel", "child", "n_events", "xvar")
 
     def __init__(self, n: int, level: int, rel: float):
         self.level = np.full(n, level, dtype=np.int64)
         self.rel = np.full(n, float(rel))
         self.t = np.zeros(n)
-        self.side = np.full(n, np.sign(rel), dtype=np.int8)
         self.child = np.zeros(n, dtype=np.int32)
         self.n_events = np.zeros(n, dtype=np.int64)
         self.x = np.zeros(n)
@@ -231,22 +230,22 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     rel0 = st.rel
     new_rel = rel0 + (co.vol_sdt * z + co.mu_dt)
 
-    lin = np.nonzero(st.side == 0)[0]
+    # crossed the anchor line, or landed within _SNAP of it; a path on the
+    # line (rel0 = 0) passes this test and departs instead
+    crossed = new_rel * np.sign(rel0) < _SNAP
+    cid = np.nonzero(crossed)[0]
+    on_line = rel0[cid] == 0.0
+    lin = cid[on_line]
     if lin.size:
+        cid = cid[~on_line]
+        crossed[lin] = False
         u = draws.uniforms(lin.size)
-        # up with probability gamma, then the drift
-        dep = np.copysign(np.abs(z[lin]), co.gamma - u) * co.vol_sdt + co.mu_dt
-        new_rel[lin] = dep
-        st.side[lin] = np.sign(dep)  # the drift may carry it across the line
+        # up with probability gamma, then the drift (it may cross the line)
+        new_rel[lin] = np.copysign(np.abs(z[lin]), co.gamma - u) * co.vol_sdt + co.mu_dt
         # within its side u is uniform again: rescaled, it picks the branch
         v = np.where(u < co.gamma, u / co.gamma, (u - co.gamma) / (1.0 - co.gamma))
         st.child[lin] = np.minimum(v * co.p, co.p - 1)
-
-    # crossed the anchor line, or landed within _SNAP of it (side = sign of rel0)
     absn = np.abs(new_rel)
-    crossed = new_rel * st.side < _SNAP
-    if lin.size:
-        crossed[lin] = False
 
     # paths at or near the boundary: events, or the bridge test, which asks
     # whether an inside-to-inside step crossed the boundary in between
@@ -268,7 +267,6 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     # steps end at their fraction of the step and accrue that fraction
     w = np.exp(co.two_log_q * rel0)
     st.t += co.dt
-    cid = np.nonzero(crossed)[0]
     if cid.size:
         frac = np.minimum(rel0[cid] / (rel0[cid] - new_rel[cid]), 1.0)
         st.t[cid] -= co.dt * (1.0 - frac)
@@ -286,13 +284,11 @@ def _advance(st: _Arrays, co: _Coeffs, z: np.ndarray, draws: _DrawBlock):
     st.rel = new_rel
     if cid.size:
         new_rel[cid] = 0.0
-        st.side[cid] = 0
     event_ids = np.sort(np.concatenate([hid, bridge_ids])) if hid.size else bridge_ids
     if not event_ids.size:
         return event_ids, event_ids, not (lin.size or cand.size or cid.size)
     dirs = np.where(new_rel[event_ids] > 0, 1, -1)
     new_rel[event_ids] = 0.0
-    st.side[event_ids] = 0
     st.level[event_ids] += dirs
     st.n_events[event_ids] += 1
     st.xvar[event_ids] *= np.exp(-co.two_log_q * dirs)
@@ -318,7 +314,7 @@ def _quiet_rows(st: _Arrays, co: _Coeffs, draws: _DrawBlock, m: int):
     rel = np.cumsum(np.vstack((st.rel, co.vol_sdt * window + co.mu_dt)), axis=0)
     t = np.cumsum(np.vstack((st.t, np.full(window.shape, co.dt))), axis=0)
     new = rel[1:]
-    ok = ((new * st.side >= _SNAP) & (np.abs(new) <= 1.0 - co.near_cut)).all(axis=1)
+    ok = ((new * np.sign(st.rel) >= _SNAP) & (np.abs(new) <= 1.0 - co.near_cut)).all(axis=1)
     ok[len(z) :] = False
     taken = ok.size if ok.all() else int(ok.argmin())
     return taken, rel, t, np.exp(co.two_log_q * rel[:-1])
@@ -378,7 +374,6 @@ class BatchRun:
     x: np.ndarray
     level: np.ndarray
     rel: np.ndarray
-    side: np.ndarray
     child: np.ndarray
     n_events: np.ndarray
     zero_visits: np.ndarray
@@ -394,6 +389,11 @@ class BatchRun:
     def checkpoint_x(self) -> np.ndarray | None:
         """The abscissae at the checkpoints, (n, k); None without them."""
         return None if self.checkpoint_times is None else self.state["x"][:, :-1]
+
+    @property
+    def side(self) -> np.ndarray:
+        """Each path's final side of its anchor line: the sign of rel."""
+        return np.sign(self.rel).astype(np.int8)
 
     @property
     def y(self) -> np.ndarray:
@@ -548,8 +548,9 @@ def run_batch(
     """
     cps = None if checkpoints is None else np.asarray(checkpoints, dtype=float)
     if cps is not None and cps.size:
-        if np.any(np.diff(cps) <= 0) or cps[-1] > config.horizon:
-            raise ValueError("checkpoints must be increasing and within the horizon")
+        # every comparison with a NaN is false
+        if not (cps[0] > 0 and np.all(np.diff(cps) > 0) and cps[-1] <= config.horizon):
+            raise ValueError("checkpoints must be finite, positive, increasing and within the horizon")
     st = _Arrays(n_paths, 0, 0.0)
     return _drive(params, config.dt, rng, st, horizon=config.horizon, checkpoints=cps)
 
@@ -669,12 +670,10 @@ def _events_by_path(run: BatchRun):
     return order, starts.tolist()
 
 
-def _tree_point(
-    anchor: TreeVertex, side: int, child: int, rel: float, successor=TreeVertex.successor
-) -> TreePoint:
-    if side == 0 or rel == 0.0:
+def _tree_point(anchor: TreeVertex, child: int, rel: float, successor=TreeVertex.successor) -> TreePoint:
+    if rel == 0.0:
         return TreePoint.at_vertex(anchor)
-    if side > 0:
+    if rel > 0.0:
         return TreePoint(successor(anchor, child), rel)
     return TreePoint(anchor, 1.0 + rel)
 
@@ -686,12 +685,12 @@ def final_tree_points(run: BatchRun, checkpoint: int = -1) -> list[TreePoint]:
     base = TreeVertex(PadicRational.zero(run.params.p), run.start_level)
     order, starts = _events_by_path(run)
     # a path's events up to the column are its first n_events
-    side, child, rel, counts = (run.state[f][:, checkpoint].tolist() for f in ("side", "child", "rel", "n_events"))
+    child, rel, counts = (run.state[f][:, checkpoint].tolist() for f in ("child", "rel", "n_events"))
     points = []
     for i, (s0, n) in enumerate(zip(starts, counts)):
         sl = order[s0 : s0 + n]
         anchor = _replay(base, run.ev_dir[sl].tolist(), run.ev_child[sl].tolist(), [n])[0]
-        points.append(_tree_point(anchor, side[i], child[i], rel[i]))
+        points.append(_tree_point(anchor, child[i], rel[i]))
     return points
 
 
@@ -721,9 +720,9 @@ def simulate_path(
     step = config.record_stride * config.dt
     cps = step * np.arange(1, int(config.horizon / step) + 2)
     run = run_batch(params, config, 1, rng, checkpoints=cps[cps < config.horizon])
-    cols = ("t", "x", "level", "rel", "side", "child", "n_events")
+    cols = ("t", "x", "level", "rel", "child", "n_events")
     *kept, end = zip(*(run.state[f][0].tolist() for f in cols))
-    states = [(0.0, 0.0, 0, 0.0, 0, 0, 0)]  # the origin, on the root's line
+    states = [(0.0, 0.0, 0, 0.0, 0, 0)]  # the origin, on the root's line
     for state in kept:
         if states[-1][0] < state[0] < config.horizon:
             states.append(state)
@@ -733,8 +732,8 @@ def simulate_path(
     successor = functools.cache(TreeVertex.successor)  # records above an anchor share it
     distance = _origin_distance(params) if with_distance else None
     records = []
-    for (t, x, level, rel, side, child, k), anchor in zip(states, anchors):
-        w = _tree_point(anchor, side, child, rel, successor)
+    for (t, x, level, rel, child, k), anchor in zip(states, anchors):
+        w = _tree_point(anchor, child, rel, successor)
         d = distance(x, w) if distance else None
         records.append(TrajectoryRecord(t, x, level + rel, w.upper, k, d))
     return records

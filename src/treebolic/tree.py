@@ -186,9 +186,11 @@ def cone_contains(v: TreeVertex, target: TreeVertex | TreePoint | TreeEnd) -> bo
             return False
         # an end lies above every level, so only v's level caps the meet
         return _meet_level(target.value, v.center, v.level) == v.level
-    if isinstance(target, TreePoint):
-        target = target.upper if target.is_vertex else target.upper.predecessor()
-    return confluent(v, target) is v
+    if isinstance(target, TreeVertex):
+        u, top = target, target.level
+    else:  # a point inside an edge meets v below its upper vertex
+        u, top = target.upper, target.upper.level - (not target.is_vertex)
+    return _meet_level(v.center, u.center, min(v.level, top)) == v.level
 
 
 def boundary_mass(v: TreeVertex) -> float:

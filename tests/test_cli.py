@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from treebolic.acceptance import MASTER_SEED, AcceptanceSuite
 from treebolic.cli import main
 
 
@@ -312,6 +313,14 @@ def test_emit_config(capsys):
     config_doc, payload_doc = out.split("}\n{", 1)
     assert json.loads(config_doc + "}")["command"] == "formulas"
     assert json.loads("{" + payload_doc)["rho"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("flags, seed", [((), MASTER_SEED), (("--seed", "5"), 5)])
+def test_emit_config_resolves_the_verify_seed(capsys, monkeypatch, flags, seed):
+    monkeypatch.setattr(AcceptanceSuite, "run_all", lambda self: iter(()))
+    code, out = run_cli(capsys, "--emit-config", "verify", *flags)
+    assert code == 0
+    assert json.loads(out[: out.index("}") + 1])["seed"] == seed
 
 
 def test_verify_quick(capsys):

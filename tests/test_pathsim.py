@@ -131,7 +131,7 @@ class TestKernelStep:
         assert st.x[0] == 0.0
         assert st.xvar[0] == pytest.approx(2.0**-1.0)
         assert st.t[0] == pytest.approx(1e-3)
-        assert eids.size == 0 and st.level[0] == 0 and st.side[0] != 0
+        assert eids.size == 0 and st.level[0] == 0 and np.sign(st.rel[0]) != 0
 
     def test_observation_draws_the_accrued_variance(self):
         co = _coeffs(BASE, 1e-3)
@@ -153,10 +153,10 @@ class TestKernelStep:
 
     def test_line_departure_bookkeeping(self):
         st, _, _ = _one_step(BASE, 1e-3, _FakeRng(1.0))  # uniform 0.9 > gamma: down
-        assert st.side[0] == -1
+        assert np.sign(st.rel[0]) == -1
         rel = float(st.rel[0])
         assert rel == pytest.approx(-math.sqrt(2.0) / math.log(2.0) * math.sqrt(1e-3))
-        w = _tree_point(ROOT, int(st.side[0]), int(st.child[0]), rel)
+        w = _tree_point(ROOT, int(st.child[0]), rel)
         assert w == TreePoint(ROOT, 1.0 + rel)
         assert w.upper == ROOT  # the strip vertex
 
@@ -169,7 +169,7 @@ class TestKernelStep:
         # up-excursion, in the branch (0.9 - gamma)/(1 - gamma) = 0.7 picks
         st, _, _ = _one_step(m, 1e-3, _FakeRng(0.5 * co.mu_dt / co.vol_sdt))
         assert st.rel[0] == pytest.approx(0.5 * co.mu_dt)
-        assert st.side[0] == 1 and st.child[0] == 1
+        assert np.sign(st.rel[0]) == 1 and st.child[0] == 1
 
     def test_numerical_guard(self):
         st = _Arrays(1, 0, -0.5)
@@ -185,7 +185,7 @@ class TestKernelStep:
         st, eids, dirs = _one_step(BASE, 1e-3, _FakeRng(-1.0), rel=-0.999)
         assert eids.tolist() == [0] and dirs.tolist() == [-1]
         assert st.level[0] == -1 and st.n_events[0] == 1
-        assert st.side[0] == 0 and st.rel[0] == 0.0
+        assert np.sign(st.rel[0]) == 0 and st.rel[0] == 0.0
         assert _walk(ROOT, dirs, st.child[eids])[-1] == ROOT.predecessor()
 
 
@@ -248,7 +248,7 @@ class TestKernelProperties:
         for _ in range(300):
             z = draws.next(n)
             draws.taken = []
-            on_line, rel0, level, t = st.side == 0, st.rel, st.level.copy(), st.t.copy()
+            on_line, rel0, level, t = np.sign(st.rel) == 0, st.rel, st.level.copy(), st.t.copy()
             try:
                 eids, dirs, quiet = _advance(st, co, z, draws)
                 error = False
@@ -263,12 +263,12 @@ class TestKernelProperties:
             if error:
                 return
             if quiet:  # the plain Euler step for every path, with no draws
-                assert not draws.taken and not eids.size and not (st.side == 0).any()
+                assert not draws.taken and not eids.size and not (np.sign(st.rel) == 0).any()
                 assert np.array_equal(st.rel, rel0 + (co.vol_sdt * z + co.mu_dt))
                 assert np.all(np.abs(st.rel) <= 1.0 - co.near_cut)
             assert np.all(np.abs(st.rel) < 1.0)
-            assert np.all(st.rel[st.side == 0] == 0.0) and np.all(st.side == np.sign(st.rel))
-            child = st.child[st.side > 0]
+            assert np.all(st.rel[np.sign(st.rel) == 0] == 0.0)
+            child = st.child[np.sign(st.rel) > 0]
             assert np.all((child >= 0) & (child < params.p))
             assert np.all(np.abs(dirs) == 1)
             moved = st.level - level
@@ -297,7 +297,7 @@ class TestKernelProperties:
         dt=hst.floats(1e-4, 1e-2),
         steps=hst.integers(1, 200),
         width=hst.sampled_from([1, 2, 8]),
-        before=hst.lists(hst.floats(0.0, 1.0), max_size=5, unique=True),
+        before=hst.lists(hst.floats(0.0, 1.0, exclude_min=True, allow_subnormal=False), max_size=5, unique=True),
         seed=hst.integers(0, 2**32 - 1),
     )
     def test_a_checkpoint_at_the_horizon_is_the_final_state(self, params, dt, steps, width, before, seed):
@@ -729,7 +729,7 @@ class TestHorizonRuns:
             sel = run.ev_path == i
             anchor = _walk(start, run.ev_dir[sel], run.ev_child[sel])[-1]
             assert anchor.level == run.level[i]
-            assert w == _tree_point(anchor, int(run.side[i]), int(run.child[i]), float(run.rel[i]))
+            assert w == _tree_point(anchor, int(run.child[i]), float(run.rel[i]))
 
     def test_checkpoint_tree_points(self):
         dt = 5e-4
@@ -745,7 +745,7 @@ class TestHorizonRuns:
             sel = (run.ev_path == i) & (run.ev_time <= t_cp[i])
             anchor = _walk(ROOT, run.ev_dir[sel], run.ev_child[sel])[-1]
             rel = float(cs["rel"][i, 0])
-            assert w == _tree_point(anchor, int(cs["side"][i, 0]), int(cs["child"][i, 0]), rel)
+            assert w == _tree_point(anchor, int(cs["child"][i, 0]), rel)
             assert w.hor == pytest.approx(cs["level"][i, 0] + rel)
         # a checkpoint at the horizon is the final state
         assert final_tree_points(run, checkpoint=1) == final_tree_points(run)
@@ -772,14 +772,17 @@ class TestHorizonRuns:
             checkpoints=[0.25, 0.5],
         )
         assert run.checkpoint_x.shape == (50, 2)
-        with pytest.raises(ValueError):
-            run_batch(
-                BASE,
-                SimConfig(dt=1e-3, horizon=1.0),
-                4,
-                RngStream(14).generator(),
-                checkpoints=[0.5, 0.25],
-            )
+        # a NaN would run to the iteration budget, and a checkpoint at or
+        # below 0 would keep the state after the first step
+        for bad in ([0.5, 0.25], [math.nan], [0.0, 0.5], [-1.0, 0.5]):
+            with pytest.raises(ValueError):
+                run_batch(
+                    BASE,
+                    SimConfig(dt=1e-3, horizon=1.0),
+                    4,
+                    RngStream(14).generator(),
+                    checkpoints=bad,
+                )
 
 
 class TestTrajectories:
@@ -890,8 +893,22 @@ def test_skeleton_vertices_are_the_oracle_walk(params):
     assert [s.vertex for s in states] == _walk(TreeVertex.root(params.p), sides, branches)
 
 
+def test_the_side_is_the_sign_of_the_offset():
+    # a short coarse run leaves some paths on their line
+    run = run_batch(DRIFTED, SimConfig(dt=1e-2, horizon=0.5), 300, RngStream(24).generator())
+    rel = run.state["rel"][:, -1]
+    assert run.side.dtype == np.int8 and np.array_equal(run.side, np.sign(rel))
+    assert np.array_equal(run.side == 0, rel == 0.0)
+    assert (run.side == 0).any() and (run.side > 0).any() and (run.side < 0).any()
+    # on the line at the anchor, above it in the recorded branch, below it
+    # on the anchor's lower edge
+    assert _tree_point(ROOT, 1, 0.0) == TreePoint.at_vertex(ROOT)
+    assert _tree_point(ROOT, 1, 0.25) == TreePoint(ROOT.successor(1), 0.25)
+    assert _tree_point(ROOT, 1, -0.25) == TreePoint(ROOT, 0.75)
+
+
 def test_origin_state_roundtrip():
     st = _Arrays(1, 0, 0.0)
-    w = _tree_point(ROOT, int(st.side[0]), int(st.child[0]), float(st.rel[0]))
+    w = _tree_point(ROOT, int(st.child[0]), float(st.rel[0]))
     assert HTPoint(float(st.x[0]), w) == origin(HTParams(2.0, 2))
     assert w.upper == ROOT

@@ -280,6 +280,22 @@ def test_cone_contains_matches_the_ray_walk(pair, offset):
     assert cone_contains(v, point) == _on_the_ray(v, w if point.is_vertex else w.predecessor())
 
 
+def _cone_contains_by_predecessor(v, w):
+    """v is the confluent of itself and w's upper vertex, or of its
+    predecessor for a point inside an edge: the oracle for cone_contains on
+    tree points."""
+    return confluent(v, w.upper if w.is_vertex else w.upper.predecessor()) is v
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=_vertex_pairs(), offset=hst.just(1.0) | hst.floats(2.0**-60, 1.0))
+def test_cone_contains_a_point_matches_the_predecessor_route(pair, offset):
+    v, w = pair
+    for x, y in ((v, w), (w, v)):
+        point = TreePoint(y, offset)
+        assert cone_contains(x, point) == _cone_contains_by_predecessor(x, point)
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=_vertex_pairs(), data=hst.data())
 def test_cone_contains_an_end_matches_the_valuation(pair, data):
