@@ -158,7 +158,7 @@ class AcceptanceSuite:
 
     @functools.cached_property
     def exit_run(self) -> ExitMeasure:
-        return analysis.sample_exit_measure(EXIT_PARAMS, self._n(100_000), self._rng(7), dt=DT)
+        return first_exit_batch(EXIT_PARAMS, self._n(100_000), self._rng(7), dt=DT)
 
     # -- criteria ------------------------------------------------------------
 
@@ -457,7 +457,7 @@ class AcceptanceSuite:
         shift = AfElement(
             AffH(2.0, 1, 1.5), AffT(2, 1, PadicRational(2, 1))
         )  # start on the line one level up, abscissa 1.5
-        em_shift = analysis.sample_exit_measure(
+        em_shift = first_exit_batch(
             EXIT_PARAMS,
             n_shift,
             self._rng(13),
@@ -504,9 +504,7 @@ class AcceptanceSuite:
         # (the path-sample count is pinned; the oracle side is drawn larger
         # to keep the comparison's own noise floor well inside the gate)
         down = self.downward_run
-        pool = analysis.sample_exit_measure(
-            DOWNWARD, self._n(40_000), self._rng(14), dt=DT
-        )
+        pool = first_exit_batch(DOWNWARD, self._n(40_000), self._rng(14), dt=DT)
         series = analysis.zinf_series_samples(
             pool.side, pool.x, DOWNWARD.q, self._n(10_000), self._rng(15)
         )
@@ -516,9 +514,8 @@ class AcceptanceSuite:
 
         # critical regime: diagnostics only
         free_run = self.driftfree_run[0]
-        cp_x = np.column_stack([free_run.checkpoint_x, free_run.x])
         cp_t = np.append(free_run.checkpoint_times, free_run.horizon)
-        diag = analysis.critical_diagnostics(cp_t, cp_x, free_run.zero_visits)
+        diag = analysis.critical_diagnostics(cp_t, free_run.state["x"], free_run.zero_visits)
         c.note(
             "critical: median |x| per checkpoint "
             + str([f"{v:.2f}" for v in diag["median_abs_x"]])

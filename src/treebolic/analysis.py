@@ -220,7 +220,7 @@ def sample_exit_measure(
     start_level: int = 0,
     start_x: float = 0.0,
 ) -> pathsim.ExitMeasure:
-    """Simulate n first exits from the star around a line-start."""
+    """pathsim.first_exit_batch, kept because perfbench/ calls it."""
     return pathsim.first_exit_batch(params, n, rng, dt=dt, start_level=start_level, start_x=start_x)
 
 

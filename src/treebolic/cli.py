@@ -31,6 +31,7 @@ from .pathsim import (
     SimConfig,
     final_points_and_distances,
     final_tree_points,
+    first_exit_batch,
     run_batch,
     simulate_path,
 )
@@ -261,7 +262,7 @@ def _cmd_clt(args) -> int:
 
 def _cmd_exit_measure(args) -> int:
     params = _model(args)
-    em = analysis.sample_exit_measure(
+    em = first_exit_batch(
         params,
         args.samples,
         RngStream(args.seed, 0).generator(),
@@ -314,7 +315,7 @@ def _cmd_boundary(args) -> int:
         report["level2_masses"] = analysis.cone_masses(points, grand).tolist()
         report["level2_oracle"] = analysis.cone_hitting_probability(params, 2)
     elif regime is cf.Regime.DOWNWARD:
-        pool = analysis.sample_exit_measure(
+        pool = first_exit_batch(
             params, max(args.paths, 5000), RngStream(args.seed, 1).generator(), dt=args.dt
         )
         series = analysis.zinf_series_samples(
@@ -323,9 +324,8 @@ def _cmd_boundary(args) -> int:
         report["ks_series"] = analysis.ks_two_sample(run.x, series).statistic
         report["x_summary"] = analysis.SampleSummary.from_samples(run.x).as_dict()
     else:
-        cp_x = np.column_stack([run.checkpoint_x, run.x])
         cp_t = np.append(run.checkpoint_times, horizon)
-        report["diagnostics"] = analysis.critical_diagnostics(cp_t, cp_x, run.zero_visits)
+        report["diagnostics"] = analysis.critical_diagnostics(cp_t, run.state["x"], run.zero_visits)
     _emit(args, report)
     return 0
 

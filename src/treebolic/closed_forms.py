@@ -34,6 +34,10 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .space import HTParams
+
 _REL_TOL = 1e-18
 #: rho within this of 1 is critical (drift-free): six typed digits, such as
 #: beta = 0.288675 for 1/(2 sqrt 3) at q = 3, p = 2, alpha = 0.5, miss rho = 1
@@ -44,27 +48,18 @@ _S_RANGE = 700.0
 
 
 @dataclass(frozen=True)
-class ModelParams:
+class ModelParams(HTParams):
     """Model parameters: geometry (q, p) plus drift weights (alpha, beta)."""
 
-    q: float
-    p: int
     alpha: float
     beta: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.q, self.alpha, self.beta))):
-            raise ValueError("q, alpha and beta must be finite")
-        if not self.q > 1:
-            raise ValueError("q must be > 1")
-        if not (isinstance(self.p, int) and self.p >= 1):
-            raise ValueError("p must be an integer >= 1")
+        super().__post_init__()
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise ValueError("alpha and beta must be finite")
         if not self.beta > 0:
             raise ValueError("beta must be > 0")
-
-    @property
-    def log_q(self) -> float:
-        return math.log(self.q)
 
 
 class Regime(enum.Enum):
@@ -111,17 +106,24 @@ def r_fun(params: ModelParams, lam: float, deriv: int = 0) -> float:
     )
 
 
-def r_fun_trig(params: ModelParams, lam: float) -> float:
-    """The cosh/cos closed form of r; cross-checks the series on both branches."""
-    b = b_param(params)
-    bp = params.beta * params.p
-    s = s_fun(params, lam)
-    if s >= 0:
-        root = math.sqrt(s)
-        sinc = math.sinh(root) / root if root > 0 else 1.0
-        return (bp + 1.0) * math.cosh(root) + (bp - 1.0) * b * sinc
-    root = math.sqrt(-s)
-    return (bp + 1.0) * math.cos(root) + (bp - 1.0) * b * math.sin(root) / root
+def r_closed(params: ModelParams, s: np.ndarray, deriv: int = 0) -> np.ndarray:
+    """r, or for deriv=1 (s != 0) its lambda-derivative, at an array of
+    s = s_fun(params, lam): cos, sin of theta = sqrt(-s) below 0, cosh, sinh
+    of sqrt(s) above.  Each branch is evaluated only where it applies, so
+    cosh never sees the theta of a far zero."""
+    if deriv not in (0, 1):
+        raise ValueError("deriv must be 0 or 1")
+    a = params.beta * params.p + 1.0
+    c = (params.beta * params.p - 1.0) * b_param(params)
+    th = np.sqrt(np.abs(s))
+    neg = s < 0
+    cs, sn = np.empty_like(s), np.empty_like(s)
+    cs[neg], sn[neg] = np.cos(th[neg]), np.sin(th[neg])
+    cs[~neg], sn[~neg] = np.cosh(th[~neg]), np.sinh(th[~neg])
+    if deriv == 0:
+        return a * cs + c * np.divide(sn, th, out=np.ones_like(s), where=th > 0)
+    flip = np.where(neg, -1.0, 1.0)
+    return (a * sn + flip * c * (th * cs - sn) / th**2) / (2.0 * th) * params.log_q**2
 
 
 def laplace_joint(params: ModelParams, lam: float, side: int) -> float:
@@ -146,14 +148,23 @@ def laplace_tau(params: ModelParams, lam: float) -> float:
 
 
 def exp_tau(params: ModelParams) -> float:
-    """Mean sojourn time between distinct lines (closed form)."""
+    """Mean sojourn time between distinct lines (closed form),
+
+        (log^2 q / 2) [(bp - 1) g(b) + (bp + 1) sinh(b) / b] / den,  bp = beta p,
+
+    with g(b) = (b cosh b - sinh b) / b^2, which cancels near b = 0: for
+    |b| < 0.1, g and sinh(b) / b are Taylor polynomials (next terms below
+    1e-18 relative), and at b = 0 the result is exactly log^2 q / 2."""
     b = b_param(params)
     bp = params.beta * params.p
-    if b == 0.0:
-        return 0.5 * params.log_q**2
-    num = (bp - 1.0) * b * math.cosh(b) + ((bp + 1.0) * b - (bp - 1.0)) * math.sinh(b)
     den = (bp + 1.0) * math.cosh(b) + (bp - 1.0) * math.sinh(b)
-    return params.log_q**2 / (2.0 * b * b) * num / den
+    if abs(b) >= 0.1:
+        num = (bp - 1.0) * b * math.cosh(b) + ((bp + 1.0) * b - (bp - 1.0)) * math.sinh(b)
+        return params.log_q**2 / (2.0 * b * b) * num / den
+    b2 = b * b
+    g = b * (1 / 3 + b2 * (1 / 30 + b2 * (1 / 840 + b2 * (1 / 45360 + b2 / 3991680))))
+    sinhc = 1.0 + b2 * (1 / 6 + b2 * (1 / 120 + b2 * (1 / 5040 + b2 / 362880)))
+    return 0.5 * params.log_q**2 * (((bp - 1.0) * g + (bp + 1.0) * sinhc) / den)
 
 
 def var_tau(params: ModelParams) -> float:

@@ -170,11 +170,9 @@ class PadicRational:
             return self.denom_exp == 0 and self.num == other
         if not isinstance(other, PadicRational):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.num == other.num
-            and self.denom_exp == other.denom_exp
-        )
+        # an integral value equals its int, so it equals that int in every base
+        same_base = self.p == other.p or self.denom_exp == other.denom_exp == 0
+        return same_base and self.num == other.num and self.denom_exp == other.denom_exp
 
     def __hash__(self):
         # an integral value equals its int, so it must hash as one

@@ -68,7 +68,7 @@ import numpy as np
 
 from .closed_forms import ModelParams, prob_up
 from .padic import PadicRational
-from .space import HTParams, HTPoint, ht_distance, origin
+from .space import HTPoint, ht_distance, origin
 from .tree import TreePoint, TreeVertex
 
 #: Largest step size the kernel is run at.
@@ -741,10 +741,9 @@ def simulate_path(
 
 def _origin_distance(params: ModelParams):
     """The distance from (x, w) to the base point, as a function of (x, w)
-    with the geometry and the base point built once."""
-    geo = HTParams(params.q, params.p)
-    base = origin(geo)
-    return lambda x, w: ht_distance(geo, HTPoint(float(x), w), base)
+    with the base point built once."""
+    base = origin(params)
+    return lambda x, w: ht_distance(params, HTPoint(float(x), w), base)
 
 
 def distance_to_origin(params: ModelParams, x: float, w: TreePoint) -> float:

@@ -25,7 +25,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .closed_forms import ModelParams, b_param, prob_up, r_fun, rho
+from .closed_forms import ModelParams, b_param, prob_up, r_closed, r_fun, rho
 from .pathsim import check_dt, rebuild_vertices
 from .tree import TreeVertex
 
@@ -84,43 +84,24 @@ def _spectrum(params: ModelParams, k: int) -> tuple[np.ndarray, np.ndarray]:
     bracket theta in (j pi, (j + 1) pi).  Zeros are found by bisection in s,
     down to adjacent doubles.
     """
-    a = params.beta * params.p + 1.0
     b = b_param(params)
-    c = (params.beta * params.p - 1.0) * b
     j = np.arange(1, k) * math.pi
     lo = np.concatenate([[-math.pi**2], -((j + math.pi) ** 2)])
     hi = np.concatenate([[b * b], -(j**2)])
-
-    def parts(s):
-        """cos/cosh, sin/sinh and theta = sqrt|s| (s != 0 only in theta > 0)."""
-        th = np.sqrt(np.abs(s))
-        neg = s < 0
-        cs, sn = np.empty_like(s), np.empty_like(s)
-        cs[neg], sn[neg] = np.cos(th[neg]), np.sin(th[neg])
-        cs[~neg], sn[~neg] = np.cosh(th[~neg]), np.sinh(th[~neg])
-        return cs, sn, th, neg
-
-    def r_sign(s):
-        cs, sn, th, _ = parts(s)
-        sinc = np.divide(sn, th, out=np.ones_like(s), where=th > 0)
-        return np.sign(a * cs + c * sinc)
-
-    sign_lo = r_sign(lo)
+    sign_lo = np.sign(r_closed(params, lo))
     while True:
         mid = 0.5 * (lo + hi)
         if not np.any((mid > lo) & (mid < hi)):
             break
-        same = r_sign(mid) == sign_lo
+        same = np.sign(r_closed(params, mid)) == sign_lo
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     s = 0.5 * (lo + hi)
     lam = (s - b * b) / params.log_q**2
-    # dr/ds from the closed forms, away from s = 0 where they cancel; the
-    # series of r_fun is exact there (only the first zero can come near)
+    # r' from the closed form, away from s = 0 where it cancels; the series
+    # of r_fun is exact there (only the first zero can come near)
     far = np.abs(s) >= 1.0
-    cs, sn, th, neg = parts(s[far])
-    flip = np.where(neg, -1.0, 1.0)
     slope = np.empty_like(s)
-    slope[far] = (a * sn + flip * c * (th * cs - sn) / th**2) / (2.0 * th) * params.log_q**2
+    slope[far] = r_closed(params, s[far], 1)
     slope[~far] = [r_fun(params, x, deriv=1) for x in lam[~far]]
     return lam, (rho(params) + 1.0) * math.exp(-b) / slope
 

@@ -21,9 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .halfplane import hyp_distance
 from .tree import TreePoint, TreeVertex, confluent, tree_distance
+
+if TYPE_CHECKING:
+    from .closed_forms import ModelParams
 
 #: Half the sandwich gap: log(1 + sqrt 2).
 DELTA = math.log(1.0 + math.sqrt(2.0))
@@ -37,8 +41,8 @@ class HTParams:
     p: int
 
     def __post_init__(self):
-        if not self.q > 1.0:
-            raise ValueError("q must be > 1")
+        if not 1.0 < self.q < math.inf:
+            raise ValueError("q must be finite and > 1")
         if not (isinstance(self.p, int) and self.p >= 1):
             raise ValueError("p must be an integer >= 1")
 
@@ -142,18 +146,12 @@ def sandwich(params: HTParams, a: HTPoint, b: HTPoint) -> tuple[float, float, fl
     return mid, mid - 2.0 * DELTA, mid
 
 
-def measure_density(params: HTParams, zf: HTPoint, alpha: float, beta: float) -> float:
+def measure_density(params: ModelParams, zf: HTPoint) -> float:
     """Density beta**hor(v) * y**alpha of the reference measure at zf."""
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
     y = params.q**zf.w.hor
-    return beta**zf.w.upper.level * y**alpha
+    return params.beta**zf.w.upper.level * y**params.alpha
 
 
-def tree_measure_density(w: TreePoint, alpha: float, beta: float, q: float) -> float:
+def tree_measure_density(params: ModelParams, w: TreePoint) -> float:
     """Density beta**hor(v) * q**((alpha - 1) * hor(w)) of the projected measure."""
-    if not beta > 0:
-        raise ValueError("beta must be > 0")
-    if not q > 1:
-        raise ValueError("q must be > 1")
-    return beta**w.upper.level * q ** ((alpha - 1.0) * w.hor)
+    return params.beta**w.upper.level * params.q ** ((params.alpha - 1.0) * w.hor)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from treebolic.closed_forms import (
@@ -18,8 +19,8 @@ from treebolic.closed_forms import (
     laplace_tau,
     mean_step,
     prob_up,
+    r_closed,
     r_fun,
-    r_fun_trig,
     rho,
     s_fun,
     skeleton_probs,
@@ -54,9 +55,20 @@ class TestBasics:
 
     def test_series_matches_trig_both_branches(self):
         m = ModelParams(2.0, 2, 2.0, 0.5)  # b < 0, negative s reachable
-        for lam in (-0.9, -0.4, -0.26, 0.0, 0.7, 5.0):
-            assert r_fun(m, lam) == pytest.approx(r_fun_trig(m, lam), rel=1e-14, abs=1e-14)
+        lams = [-0.9, -0.4, -0.26, 0.0, 0.7, 5.0]
+        closed = r_closed(m, np.array([s_fun(m, lam) for lam in lams]))
+        for lam, r in zip(lams, closed):
+            assert r_fun(m, lam) == pytest.approx(r, rel=1e-14, abs=1e-14)
         assert s_fun(m, -0.9) < 0  # the oscillatory branch is exercised
+
+    def test_closed_slope_matches_series_both_branches(self):
+        s = np.concatenate([-np.geomspace(1.0, 100.0, 9), np.geomspace(1.0, 100.0, 9)])
+        for m in (ModelParams(2.0, 2, 2.0, 0.5), ModelParams(math.e, 3, 0.3, 0.8), ModelParams(8.0, 1, -1.0, 2.0)):
+            lams = (s - b_param(m) ** 2) / m.log_q**2
+            for lam, slope in zip(lams, r_closed(m, s, 1)):
+                assert slope == pytest.approx(r_fun(m, lam, deriv=1), rel=1e-12)
+        with pytest.raises(ValueError):
+            r_closed(BASE, s, 2)
 
     def test_series_range_guard(self):
         with pytest.raises(ValueError):
@@ -65,7 +77,7 @@ class TestBasics:
     def test_params_validation(self):
         nan, inf = float("nan"), float("inf")
         for bad in (
-            dict(q=1.0), dict(p=0), dict(beta=0.0),
+            dict(q=1.0), dict(p=0), dict(beta=0.0), dict(beta=-1.0),
             dict(q=inf), dict(alpha=nan), dict(alpha=-inf), dict(beta=inf),
         ):
             kw = dict(q=2.0, p=2, alpha=1.0, beta=0.5)
@@ -114,6 +126,18 @@ class TestMoments:
         for m in GRID:
             derived = r_fun(m, 0.0, 1) * math.exp(b_param(m)) / (rho(m) + 1.0)
             assert exp_tau(m) == pytest.approx(derived, rel=1e-10)
+
+    def test_mean_near_zero_drift_exponent(self):
+        # b -> 0 as alpha -> 1: the closed form must not lose its digits there
+        alphas = [1.0 + sign * 10.0**-k for k in range(1, 17) for sign in (1, -1)]
+        alphas += [1.21, 0.79, 1.09, 0.91]
+        for q in (1.5, 2.0, math.e, 8.0):
+            for p in (1, 2, 3):
+                for beta in (0.1, 1.0 / p, 1.0, 3.0):
+                    for alpha in alphas:
+                        m = ModelParams(q, p, alpha, beta)
+                        series = r_fun(m, 0.0, 1) * math.exp(b_param(m)) / (rho(m) + 1.0)
+                        assert exp_tau(m) == pytest.approx(series, rel=1e-12)
 
     def test_mean_matches_numerical_derivative(self):
         h = 1e-5

@@ -1,8 +1,9 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from treebolic.padic import PadicRational
 
@@ -163,6 +164,32 @@ def test_equal_values_hash_alike(u):
     assert twin == u and hash(twin) == hash(u)
     if u.denom_exp == 0:
         assert u == u.num and hash(u) == hash(u.num) and u.num in {u}
+
+
+def test_integral_values_equal_across_bases():
+    # equality must be transitive, so a set cannot depend on insertion order
+    assert len({pr(3, p=2), pr(3, p=3), 3}) == len({3, pr(3, p=2), pr(3, p=3)}) == 1
+    assert pr(1, 1, p=2) != pr(2, 1, p=4)  # non-integral values of two bases stay unequal
+
+
+# few values, so that equal pairs across bases are common
+mixed = st.one_of(
+    st.integers(min_value=-1, max_value=1),
+    st.builds(
+        PadicRational,
+        st.sampled_from([2, 3, 4]),
+        st.integers(min_value=-1, max_value=1),
+        st.integers(min_value=0, max_value=1),
+    ),
+)
+
+
+@settings(max_examples=500, derandomize=True)
+@given(mixed, mixed, mixed)
+def test_equality_is_transitive_across_bases(x, y, z):
+    for a, b, c in itertools.permutations((x, y, z)):
+        if a == b and b == c:
+            assert a == c and hash(a) == hash(c)
 
 
 def test_repr_forms():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from treebolic.closed_forms import ModelParams
 from treebolic.halfplane import hyp_distance
 from treebolic.space import (
     DELTA,
@@ -18,6 +19,7 @@ from treebolic.space import (
 from treebolic.tree import TreePoint, TreeVertex, confluent
 
 GEO = HTParams(2.0, 2)
+DRIFTED = ModelParams(2.0, 2, 1.0, 1.0)
 ROOT = TreeVertex.root(2)
 
 
@@ -38,6 +40,15 @@ class TestParams:
             HTParams(1.0, 2)
         with pytest.raises(ValueError):
             HTParams(2.0, 0)
+        with pytest.raises(ValueError):
+            HTParams(float("inf"), 2)
+
+    def test_model_params_are_geometry(self):
+        assert isinstance(DRIFTED, HTParams)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            a, b = _random_point(rng), _random_point(rng)
+            assert ht_distance(DRIFTED, a, b) == ht_distance(GEO, a, b)
 
     def test_origin_height_is_one(self):
         assert z_of(GEO, origin(GEO)) == 1j
@@ -238,39 +249,36 @@ class TestSandwich:
 
 class TestDensities:
     def test_origin_density_is_one(self):
-        assert measure_density(GEO, origin(GEO), alpha=1.3, beta=0.7) == 1.0
+        assert measure_density(ModelParams(2.0, 2, 1.3, 0.7), origin(GEO)) == 1.0
 
     def test_alpha_zero_constant_per_strip(self):
         v = ROOT.successors()[0]
-        d1 = measure_density(GEO, _pt(0.0, v, 0.2), alpha=0.0, beta=0.5)
-        d2 = measure_density(GEO, _pt(3.0, v, 0.9), alpha=0.0, beta=0.5)
+        m = ModelParams(2.0, 2, 0.0, 0.5)
+        d1 = measure_density(m, _pt(0.0, v, 0.2))
+        d2 = measure_density(m, _pt(3.0, v, 0.9))
         assert d1 == d2 == 0.5
 
     def test_strip_below_level_one_vertex(self):
         v = ROOT.successors()[0]
-        val = measure_density(GEO, _pt(0.0, v, 1.0), alpha=1.0, beta=0.5)
+        val = measure_density(ModelParams(2.0, 2, 1.0, 0.5), _pt(0.0, v, 1.0))
         assert val == pytest.approx(1.0)
 
     def test_tree_density_base_point(self):
-        assert tree_measure_density(TreePoint.at_vertex(ROOT), 2.0, 0.7, 2.0) == pytest.approx(0.7**0)
+        m = ModelParams(2.0, 2, 2.0, 0.7)
+        assert tree_measure_density(m, TreePoint.at_vertex(ROOT)) == pytest.approx(0.7**0)
 
     def test_tree_density_alpha_one_is_q_free(self):
         w = TreePoint(ROOT.successors()[0], 0.3)
-        assert tree_measure_density(w, 1.0, 0.5, 2.0) == tree_measure_density(w, 1.0, 0.5, 3.0)
+        m2, m3 = ModelParams(2.0, 2, 1.0, 0.5), ModelParams(3.0, 2, 1.0, 0.5)
+        assert tree_measure_density(m2, w) == tree_measure_density(m3, w)
 
     def test_tree_density_midpoint(self):
         w = TreePoint(ROOT.successors()[0], 0.5)  # hor = 0.5, below a level-1 vertex
-        assert tree_measure_density(w, 2.0, 1.0, 2.0) == pytest.approx(math.sqrt(2.0))
-
-    def test_beta_validation(self):
-        with pytest.raises(ValueError):
-            measure_density(GEO, origin(GEO), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            tree_measure_density(TreePoint.at_vertex(ROOT), 1.0, -1.0, 2.0)
+        assert tree_measure_density(ModelParams(2.0, 2, 2.0, 1.0), w) == pytest.approx(math.sqrt(2.0))
 
 
 def test_line_points_belong_to_strip_below():
     # a point on the line at a vertex uses that vertex's strip weight
     v = ROOT.successors()[1]
     on_line = _pt(0.0, v, 1.0)
-    assert measure_density(GEO, on_line, 0.0, 0.25) == 0.25  # beta**hor(v), v at level 1
+    assert measure_density(ModelParams(2.0, 2, 0.0, 0.25), on_line) == 0.25  # beta**hor(v), v at level 1
