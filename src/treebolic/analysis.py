@@ -5,8 +5,8 @@ Everything here consumes simulation output as plain arrays and compares it
 against the closed forms or against independent numerical oracles:
 
   * a Kolmogorov-Smirnov distance (one- and two-sample, hand-rolled),
-  * a grid sampler for the drift-free limit law built from the running
-    extremes of a standard Brownian path on [0, 1],
+  * an exact sampler for the drift-free limit law built from the endpoint
+    and running extremes of a standard Brownian path on [0, 1],
   * an absorbing-chain linear solve for the probability that the induced
     tree walk escapes through a fixed branch (cone masses),
   * a resampled affine-recursion series for the limit abscissa when the
@@ -164,6 +164,54 @@ def distance_clt(params: ModelParams, distances, t: float) -> KsResult:
     return ks_against_cdf((d - t * abs(ell)) / sd, normal_cdf)
 
 
+#: Reflection terms |k| <= _REFLECTIONS of the series for the law of M-,
+#: the width of its bisection bracket below min(0, N), the bisection steps
+#: (enough to reach double precision) and the draws per chunk.
+_REFLECTIONS = 8
+_MIN_BRACKET = 12.0
+_BISECT_STEPS = 60
+_LIMIT_CHUNK = 1024
+
+
+def _bisect_minimum(x, b, v):
+    """The a with P(M- > a | M+ = b, N = x) = v for a standard Brownian path
+    on [0, 1].  That probability is d_b f(a, b, x) / d_b f(-inf, b, x), with
+
+        f(a, b, x) = sum_k [phi(x - 2k(b-a)) - phi(x - 2b + 2k(b-a))]
+
+    the density of N at x on {a < M-, M+ < b} (Levy's reflection series);
+    the factor 2 / sqrt(2 pi) of each b-derivative cancels."""
+    k = np.arange(-_REFLECTIONS, _REFLECTIONS + 1.0)[:, None]
+    y0 = x - 2.0 * b
+    target = v * -y0 * np.exp(-0.5 * y0 * y0)
+    hi = np.minimum(x, 0.0)
+    lo = hi - _MIN_BRACKET
+    for _ in range(_BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        w = 2.0 * k * (b - mid)
+        y1, y2 = x - w, y0 + w
+        slope = (k * y1 * np.exp(-0.5 * y1 * y1) + (k - 1.0) * y2 * np.exp(-0.5 * y2 * y2)).sum(axis=0)
+        above = slope > target  # P(M- > mid) > v: the draw lies above mid
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _path_extremes(n: int, rng: np.random.Generator):
+    """The endpoint N, maximum M+ and minimum M- of n standard Brownian
+    paths on [0, 1], drawn exactly, _LIMIT_CHUNK paths at a time.  N is
+    normal, and M+ given N = x is drawn in closed form from
+    P(M+ >= m | x) = exp(-2 m (m - x)); M- given both is bisected."""
+    end, top, bottom = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(0, n, _LIMIT_CHUNK):
+        s = slice(i, min(i + _LIMIT_CHUNK, n))
+        x = end[s] = rng.standard_normal(s.stop - i)
+        u, v = rng.random((2, x.size))
+        b = top[s] = 0.5 * (x + np.sqrt(x * x - 2.0 * np.log1p(-u)))
+        bottom[s] = _bisect_minimum(x, b, v)
+    return end, top, bottom
+
+
 def draw_limit_samples(
     params: ModelParams,
     n: int,
@@ -171,33 +219,17 @@ def draw_limit_samples(
     grid_n: int = 16384,
     return_max: bool = False,
 ):
-    """Draws of the drift-free limit law: with (M+, M-, N) the running max,
-    running min and endpoint of a standard Brownian path on [0, 1],
+    """Exact draws of the drift-free limit law: with (M+, M-, N) the running
+    max, running min and endpoint of a standard Brownian path on [0, 1],
 
         scale * (2 M+ - 2 M- - |N|),    scale = log q / sqrt(E tau).
 
-    The path is a grid walk with grid_n steps; the grid bias shrinks like
-    1/sqrt(grid_n) (checked by doubling in the tests).  Optionally also
-    returns the M+ draws for the sampler's own calibration check.
+    Optionally also returns the M+ draws for the sampler's own calibration
+    check.  grid_n is not read; it is kept because perfbench/ passes it.
     """
-    if grid_n < 1000:
-        raise ValueError("grid_n must be at least 1000")
-    scale = params.log_q / math.sqrt(exp_tau(params))
-    out = np.empty(n)
-    mtop = np.empty(n)
-    chunk = max(1, (1 << 22) // grid_n)
-    step_sd = 1.0 / math.sqrt(grid_n)
-    done = 0
-    while done < n:
-        m = min(chunk, n - done)
-        w = np.cumsum(rng.standard_normal((m, grid_n)) * step_sd, axis=1)
-        hi = np.maximum(w.max(axis=1), 0.0)
-        lo = np.minimum(w.min(axis=1), 0.0)
-        end = w[:, -1]
-        out[done : done + m] = scale * (2.0 * hi - 2.0 * lo - np.abs(end))
-        mtop[done : done + m] = hi
-        done += m
-    return (out, mtop) if return_max else out
+    end, top, bottom = _path_extremes(n, rng)
+    out = params.log_q / math.sqrt(exp_tau(params)) * (2.0 * top - 2.0 * bottom - np.abs(end))
+    return (out, top) if return_max else out
 
 
 def drift_free_clt(params: ModelParams, distances, t: float, limit_samples) -> KsResult:

@@ -14,7 +14,6 @@ vertex centers, and nothing else.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class PadicRational:
@@ -156,9 +155,6 @@ class PadicRational:
         return PadicRational(self.p, self.num % self.p**j, self.denom_exp)
 
     # -- conversions -------------------------------------------------------
-
-    def to_fraction(self) -> Fraction:
-        return Fraction(self.num, self.p**self.denom_exp)
 
     def __float__(self) -> float:
         return self.num / self.p**self.denom_exp

@@ -132,26 +132,113 @@ class TestCltStatistics:
             analysis.distance_clt(near, [1.0], 1.0)
 
 
+def _grid_limit_samples(params, n, rng, grid_n):
+    """The limit law's draws from grid_n-step Gaussian walks on [0, 1], about
+    2**20 steps at a time: an oracle for the exact sampler whose extremes
+    are biased toward 0 by about 0.5826 / sqrt(grid_n)."""
+    if grid_n < 1000:
+        raise ValueError("grid_n must be at least 1000")
+    rows = max(1, (1 << 20) // grid_n)
+    hi, lo, end = np.empty(n), np.empty(n), np.empty(n)
+    for i in range(0, n, rows):
+        w = np.cumsum(rng.standard_normal((min(rows, n - i), grid_n)) / math.sqrt(grid_n), axis=1)
+        s = slice(i, i + w.shape[0])
+        hi[s], lo[s], end[s] = np.maximum(w.max(axis=1), 0.0), np.minimum(w.min(axis=1), 0.0), w[:, -1]
+    return params.log_q / math.sqrt(exp_tau(params)) * (2.0 * hi - 2.0 * lo - np.abs(end))
+
+
+def _box_probability(a, b, terms=30):
+    """P(a < M-, M+ < b) for a standard Brownian path on [0, 1]: the
+    reflection series integrated over the endpoint."""
+    w = 2.0 * np.arange(-terms, terms + 1) * (b - a)
+    cdf = scipy.stats.norm.cdf
+    return float(np.sum(cdf(b - w) - cdf(a - w) - cdf(-b + w) + cdf(a - 2.0 * b + w)))
+
+
+class _EdgeGenerator:
+    """Endpoints of the generator's draws: normals on a grid through 0 and
+    uniforms all equal to u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def standard_normal(self, size):
+        return np.linspace(-6.0, 6.0, size)
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
 class TestLimitSampler:
+    @pytest.fixture(scope="class")
+    def extremes(self):
+        return analysis._path_extremes(200_000, RngStream(25).generator())
+
     def test_draws_are_nonnegative(self):
-        out = analysis.draw_limit_samples(BASE, 2000, RngStream(20).generator(), grid_n=1024)
+        out = analysis.draw_limit_samples(BASE, 2000, RngStream(20).generator())
         assert (out >= 0.0).all()
 
     def test_running_max_mean(self):
         n = 4000
-        _, tops = analysis.draw_limit_samples(
-            BASE, n, RngStream(21).generator(), grid_n=4096, return_max=True
-        )
-        target = math.sqrt(2.0 / math.pi)
+        _, tops = analysis.draw_limit_samples(BASE, n, RngStream(21).generator(), return_max=True)
         se = tops.std(ddof=1) / math.sqrt(n)
-        # grid max underestimates the true running max by O(1/sqrt(grid_n))
-        assert abs(tops.mean() - target) <= 3 * se + 0.012
+        assert abs(tops.mean() - math.sqrt(2.0 / math.pi)) <= 3 * se
+
+    def test_closed_form_means(self, extremes):
+        end, top, bottom = extremes
+        c = math.sqrt(2.0 / math.pi)
+        cases = [
+            (top, c),
+            (top - bottom, 2.0 * c),
+            (2.0 * top - 2.0 * bottom - np.abs(end), 3.0 * c),
+            ((top - bottom) ** 2, 4.0 * math.log(2.0)),
+        ]
+        for draws, target in cases:
+            assert abs(draws.mean() - target) <= 4.0 * draws.std(ddof=1) / math.sqrt(draws.size)
+
+    def test_extremes_have_the_half_normal_law(self, extremes):
+        end, top, bottom = extremes
+        assert (top >= np.maximum(end, 0.0)).all() and (bottom <= np.minimum(end, 0.0)).all()
+        # M+ and -M- are both distributed as |N|
+        for m in (top[:20_000], -bottom[:20_000]):
+            assert analysis.ks_against_cdf(m, lambda t: 2.0 * analysis.normal_cdf(t) - 1.0).statistic < 0.012
+
+    @pytest.mark.parametrize("a, b", [(-0.5, 0.5), (-1.0, 1.0), (-0.7, 1.2), (-1.5, 0.6)])
+    def test_box_probabilities(self, extremes, a, b):
+        _, top, bottom = extremes
+        p = _box_probability(a, b)
+        hit = np.mean((bottom > a) & (top < b))
+        assert abs(hit - p) <= 4.0 * math.sqrt(p * (1.0 - p) / top.size)
 
     def test_grid_refinement_converges(self):
-        n = 20000
-        a = analysis.draw_limit_samples(BASE, n, RngStream(22).generator(), grid_n=1024)
-        b = analysis.draw_limit_samples(BASE, n, RngStream(23).generator(), grid_n=4096)
-        assert abs(a.mean() - b.mean()) / b.mean() < 0.025
+        # the grid walk's bias toward 0 shrinks like 1/sqrt(grid_n), and so
+        # does its KS distance from the exact draws
+        n = 8000
+        exact = analysis.draw_limit_samples(BASE, n, RngStream(22).generator())
+        coarse = _grid_limit_samples(BASE, n, RngStream(23).generator(), 1024)
+        fine = _grid_limit_samples(BASE, n, RngStream(24).generator(), 16384)
+        ks_coarse = analysis.ks_two_sample(exact, coarse).statistic
+        ks_fine = analysis.ks_two_sample(exact, fine).statistic
+        assert ks_fine < 0.6 * ks_coarse
+        assert abs(coarse.mean() - fine.mean()) / fine.mean() < 0.025
+
+    def test_finite_at_the_uniform_endpoints(self):
+        for u in (0.0, 1.0 - 2.0**-53):
+            end, top, bottom = analysis._path_extremes(1023, _EdgeGenerator(u))
+            assert np.isfinite(top).all() and np.isfinite(bottom).all()
+            assert (top >= np.maximum(end, 0.0)).all() and (bottom <= np.minimum(end, 0.0)).all()
+
+    def test_more_reflections_move_no_draw(self, monkeypatch):
+        draws = analysis._path_extremes(10_000, RngStream(26).generator())
+        monkeypatch.setattr(analysis, "_REFLECTIONS", 2 * analysis._REFLECTIONS)
+        wider = analysis._path_extremes(10_000, RngStream(26).generator())
+        for a, b in zip(draws, wider):
+            assert np.abs(a - b).max() <= 1e-10
+
+    def test_grid_n_is_not_read(self):
+        # perfbench/ still passes grid_n; the draws do not depend on it
+        a = analysis.draw_limit_samples(BASE, 50, RngStream(27).generator(), grid_n=8192)
+        assert np.array_equal(a, analysis.draw_limit_samples(BASE, 50, RngStream(27).generator()))
 
     def test_scale_factor(self):
         # at the critical parameters with q = 2 the prefactor is sqrt(2)
@@ -159,7 +246,7 @@ class TestLimitSampler:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            analysis.draw_limit_samples(BASE, 2, RngStream(24).generator(), grid_n=10)
+            _grid_limit_samples(BASE, 2, RngStream(28).generator(), grid_n=10)
 
 
 class TestConeOracle:
